@@ -27,8 +27,10 @@
 //!   ([`ModelRepository::register_all`]) fans the O(N²) pairwise sweep
 //!   across a scoped worker pool, holding the repository lock only to
 //!   snapshot the catalog and to install the finished batch.
-//! - **Container scheduling** ([`scheduler`], §4.2): idle-container
-//!   identification by per-container timers and min-cost source selection.
+//! - **Container lifecycle** ([`scheduler`], §4.2, §6.3): the one policy
+//!   the simulator and the live worker share — warm match, idle-donor
+//!   identification, min-cost source selection, the safeguard repurpose,
+//!   eviction and keep-alive expiry.
 //!
 //! ```
 //! use optimus_core::{GroupPlanner, Planner, execute_plan};

@@ -56,6 +56,7 @@ pub use api::{
 };
 pub use gateway::{Gateway, GatewayBuilder, InferenceResult, PendingDecode, PendingInference};
 pub use http::{FrontendMode, HttpConfig, HttpServer};
+pub use worker::{Acquired, ContainerPool};
 
 // Re-exported so serving deployments can configure and read the weight
 // store without depending on `optimus-store` directly.

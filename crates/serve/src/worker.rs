@@ -5,9 +5,11 @@
 //! control rejects with a `429` instead of growing it — and is drained in
 //! per-model batches: after the first request the worker waits up to
 //! `max_batch_wait_us` for the batch to fill, then serves each model's
-//! group with one container acquisition (warm match, donor scan,
-//! transformation or cold start, store accounting) amortised across the
-//! group. Each request still runs its own forward pass, so responses are
+//! group: its first request pays the container acquisition (the shared
+//! lifecycle policy of [`ContainerPool`]: warm match, donor choice,
+//! transformation or scratch load, store accounting) and the rest
+//! warm-hit the container it produced. Each request still runs its own
+//! forward pass, so responses are
 //! byte-identical whether or not they were batched. The *control*
 //! channel (crashes, kills, warm transfers) is unbounded and checked
 //! before every batch so fleet events are never dropped or stuck behind
@@ -18,7 +20,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use optimus_core::{execute_plan, ModelRepository, TransformDecision};
+use optimus_core::scheduler::{expire, lru, ContainerView, Lifecycle, Start};
+use optimus_core::{execute_plan, ModelRepository};
 use optimus_model::tensor::Tensor;
 use optimus_model::{infer, InternKey, ModelGraph, ModelId};
 use optimus_predict::SpecCandidate;
@@ -57,18 +60,6 @@ pub(crate) enum ControlItem {
     /// traffic: place them at node memory ([`NodeStore::warm`]) so its
     /// first requests hit locally instead of fetching from the origin.
     Warm(Vec<ChunkRef>),
-}
-
-/// A live container: a real model graph plus usage timestamps.
-struct LiveContainer {
-    model: ModelGraph,
-    model_id: ModelId,
-    last_used: Instant,
-    /// The container was produced by a speculative transform and has not
-    /// served a request since: its first warm hit is a prediction hit
-    /// (flag cleared); dying with the flag set is a misprediction.
-    /// Always `false` with prediction off.
-    speculated: bool,
 }
 
 /// Per-node weight-store accounting plus its telemetry handles.
@@ -202,7 +193,7 @@ impl WorkerStore {
 /// Counters a worker bumps when the resilience machinery engages.
 struct FaultCounters {
     /// Transformations that failed (injected or real) and escalated to a
-    /// cold start instead of surfacing an error to the client.
+    /// scratch load instead of surfacing an error to the client.
     escalations: Counter,
     /// Transform executions that blew their cost-model budget
     /// ([`ModelRepository::note_transform_seconds`] demoted the pair).
@@ -211,11 +202,430 @@ struct FaultCounters {
     evictions: Counter,
 }
 
-/// Everything a worker turn needs besides the containers themselves.
+/// How a container was obtained for one request.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Acquired {
+    /// Index of the container in the pool.
+    pub slot: usize,
+    /// Warm, transformed, or loaded from scratch (`Cold`, which includes
+    /// a donor reloaded by the safeguard).
+    pub start: ServedStart,
+    /// The model the retargeted donor held, when one was used.
+    pub donor: Option<ModelId>,
+    /// Wall-clock spent transforming or instantiating (0 for warm).
+    pub startup_seconds: f64,
+    /// Meta-operator steps executed (0 unless transformed).
+    pub transform_steps: usize,
+    /// `Some(true)` when a cached plan was applied, `Some(false)` when a
+    /// donor was reloaded from scratch instead, `None` when no donor was
+    /// used (warm hit or a new container).
+    pub plan_cache_hit: Option<bool>,
+}
+
+/// The live containers of one worker node, driven by the shared
+/// container-lifecycle policy (`optimus_core::scheduler`): each container
+/// is a [`ContainerView`] keyed by interned model id plus the real model
+/// graph it holds. Every decision takes `now` in seconds on the caller's
+/// clock — the worker passes seconds since it started.
+pub struct ContainerPool {
+    lifecycle: Lifecycle,
+    keep_alive: f64,
+    repo: Arc<ModelRepository>,
+    views: Vec<ContainerView<ModelId>>,
+    /// Model graph per container id.
+    graphs: HashMap<u64, ModelGraph>,
+    next_id: u64,
+    counters: FaultCounters,
+    store: Option<WorkerStore>,
+    /// Arrival predictor shared with the gateway (`None`: prediction
+    /// off): adaptive keep-alive windows + speculation outcome counters.
+    predict: Option<Arc<PredictShared>>,
+}
+
+impl ContainerPool {
+    /// An empty pool for node `node_id` under `config`'s capacity, idle
+    /// threshold and keep-alive, counting resilience events into
+    /// `metrics`. The pool runs without a weight store or predictor.
+    pub fn new(
+        node_id: usize,
+        config: &GatewayConfig,
+        repo: Arc<ModelRepository>,
+        metrics: &MetricsRegistry,
+    ) -> ContainerPool {
+        let node = node_id.to_string();
+        ContainerPool {
+            lifecycle: Lifecycle {
+                capacity: config.capacity_per_node,
+                node_bytes: None,
+                idle_threshold: config.idle_threshold,
+            },
+            keep_alive: config.keep_alive,
+            repo,
+            views: Vec::new(),
+            graphs: HashMap::new(),
+            next_id: 0,
+            counters: FaultCounters {
+                escalations: metrics
+                    .counter("optimus_safeguard_escalations_total", &[("node", &node)]),
+                overruns: metrics.counter("optimus_transform_overruns_total", &[("node", &node)]),
+                evictions: metrics.counter("optimus_fault_evictions_total", &[("node", &node)]),
+            },
+            store: None,
+            predict: None,
+        }
+    }
+
+    /// Number of live containers.
+    pub fn len(&self) -> usize {
+        self.views.len()
+    }
+
+    /// Whether the pool holds no container.
+    pub fn is_empty(&self) -> bool {
+        self.views.is_empty()
+    }
+
+    /// Get a container holding `model` at `now`: expire containers past
+    /// their keep-alive, then take a warm one, else apply the lifecycle
+    /// policy's start — transform the cheapest donor, reload a donor from
+    /// scratch, or load into a new container.
+    ///
+    /// Safeguard under failure: when a transformation aborts — injected
+    /// via `fail_transform` or a real [`execute_plan`] error — the donor
+    /// is reloaded from scratch and the start reports `Cold` instead of
+    /// erroring back to the client.
+    pub fn acquire(
+        &mut self,
+        model: ModelId,
+        now: f64,
+        fail_transform: bool,
+    ) -> Result<Acquired, ServeError> {
+        self.sweep(now);
+        if let Some(slot) = Lifecycle::warm(&self.views, model, now) {
+            // A speculated container serving its first request is a
+            // prediction hit: the cold start speculation avoided.
+            let c = &mut self.views[slot];
+            if c.speculated {
+                c.speculated = false;
+                if let Some(ps) = &self.predict {
+                    ps.spec_hits.inc();
+                }
+            }
+            c.route(now, now);
+            return Ok(Acquired {
+                slot,
+                start: ServedStart::Warm,
+                donor: None,
+                startup_seconds: 0.0,
+                transform_steps: 0,
+                plan_cache_hit: None,
+            });
+        }
+        let target = self
+            .repo
+            .model_name_of(model)
+            .and_then(|name| self.repo.model(&name))
+            .ok_or_else(|| ServeError::UnknownModel(format!("model#{}", model.0)))?;
+        let t0 = Instant::now();
+        let start = self
+            .lifecycle
+            .start(&self.repo, &self.views, model, 0, now, |m| m);
+        let slot = match start {
+            Start::Transform(choice) => {
+                let slot = choice.container;
+                let src = self.views[slot].model;
+                let graph = self
+                    .graphs
+                    .get_mut(&self.views[slot].id)
+                    .expect("live graph");
+                let applied = if fail_transform {
+                    None
+                } else {
+                    execute_plan(graph, &choice.plan, &target).ok()
+                };
+                if let Some(report) = applied {
+                    // Cached plans reference the op-id space of the
+                    // *registered* graphs (see `execute_plan`'s contract).
+                    // The transformed graph is verified structurally
+                    // identical to the target, so canonicalise its id space
+                    // by adopting the registered graph — this keeps future
+                    // cached plans applicable to this container.
+                    *graph = (*target).clone();
+                    self.retarget(slot, model, now);
+                    let startup = t0.elapsed().as_secs_f64();
+                    if let Some(ws) = self.store.as_mut() {
+                        // Admit the plan's fetched payload (only the delta
+                        // crosses a tier), synthesize the reused remainder
+                        // in place, release the donor's chunks.
+                        ws.transform(&self.repo, src, model);
+                    }
+                    if self.repo.note_transform_seconds(src, model, startup) {
+                        self.counters.overruns.inc();
+                    }
+                    return Ok(Acquired {
+                        slot,
+                        start: ServedStart::Transformed,
+                        donor: Some(src),
+                        startup_seconds: startup,
+                        transform_steps: report.steps_applied,
+                        plan_cache_hit: Some(true),
+                    });
+                }
+                // The plan aborted partway, leaving the donor undefined:
+                // the safeguard reloads it from scratch.
+                self.counters.escalations.inc();
+                slot
+            }
+            Start::Repurpose(slot) => slot,
+            Start::Cold => {
+                let Self {
+                    lifecycle,
+                    views,
+                    graphs,
+                    store,
+                    repo,
+                    predict,
+                    ..
+                } = self;
+                lifecycle.free_slot(views, 0, now, |c| {
+                    retire(graphs, store, repo, predict.as_deref(), c)
+                });
+                let id = self.next_id;
+                self.next_id += 1;
+                self.views.push(ContainerView::new(id, model, now, now));
+                self.graphs.insert(id, (*target).clone());
+                if let Some(ws) = self.store.as_mut() {
+                    ws.admit_model(&self.repo, model);
+                }
+                let startup = t0.elapsed().as_secs_f64();
+                self.repo.note_load_seconds(model, startup);
+                return Ok(Acquired {
+                    slot: self.views.len() - 1,
+                    start: ServedStart::Cold,
+                    donor: None,
+                    startup_seconds: startup,
+                    transform_steps: 0,
+                    plan_cache_hit: None,
+                });
+            }
+        };
+        // Scratch reload into a donor (the safeguard repurpose or an
+        // escalated transform): the target is admitted before the donor's
+        // chunks are released, so shared chunks never leave the container
+        // tier.
+        let src = self.views[slot].model;
+        *self
+            .graphs
+            .get_mut(&self.views[slot].id)
+            .expect("live graph") = (*target).clone();
+        self.retarget(slot, model, now);
+        if let Some(ws) = self.store.as_mut() {
+            ws.admit_model(&self.repo, model);
+            ws.release_model(&self.repo, src);
+        }
+        let startup = t0.elapsed().as_secs_f64();
+        self.repo.note_load_seconds(model, startup);
+        Ok(Acquired {
+            slot,
+            start: ServedStart::Cold,
+            donor: Some(src),
+            startup_seconds: startup,
+            transform_steps: 0,
+            plan_cache_hit: Some(false),
+        })
+    }
+
+    /// The graph container `slot` holds.
+    fn graph(&self, slot: usize) -> &ModelGraph {
+        &self.graphs[&self.views[slot].id]
+    }
+
+    /// A request served on `slot` finished at `now`.
+    fn finish(&mut self, slot: usize, now: f64) {
+        self.views[slot].busy_until = now;
+    }
+
+    /// Point donor `slot` at `model` for a request routed at `now`; an
+    /// unused speculation on it missed.
+    fn retarget(&mut self, slot: usize, model: ModelId, now: f64) {
+        let c = &mut self.views[slot];
+        note_dead_spec(self.predict.as_deref(), c.speculated);
+        c.speculated = false;
+        c.model = model;
+        c.route(now, now);
+    }
+
+    /// Keep-alive sweep: evict containers idle past their window (the
+    /// predictor's per-model window when prediction is on, the global
+    /// `keep_alive` otherwise).
+    fn sweep(&mut self, now: f64) {
+        let Self {
+            views,
+            graphs,
+            store,
+            repo,
+            predict,
+            keep_alive,
+            ..
+        } = self;
+        let window = |id: ModelId| {
+            predict
+                .as_ref()
+                .map_or(*keep_alive, |ps| ps.window(id.index()))
+        };
+        expire(views, now, window, |c| {
+            retire(graphs, store, repo, predict.as_deref(), c)
+        });
+    }
+
+    /// Crash/kill control events: containers die outright.
+    fn handle_control(&mut self, item: ControlItem) {
+        match item {
+            ControlItem::Crash => {
+                self.counters.evictions.add(self.views.len() as u64);
+                for c in self.views.drain(..) {
+                    note_dead_spec(self.predict.as_deref(), c.speculated);
+                }
+                self.graphs.clear();
+                if let Some(ws) = self.store.as_mut() {
+                    ws.crash();
+                }
+            }
+            ControlItem::Warm(chunks) => {
+                if let Some(ws) = self.store.as_mut() {
+                    ws.warm(&chunks);
+                }
+            }
+            ControlItem::Kill => {
+                if let Some(victim) = lru(&self.views, |_| true) {
+                    let dead = self.views.swap_remove(victim);
+                    self.counters.evictions.inc();
+                    retire(
+                        &mut self.graphs,
+                        &mut self.store,
+                        &self.repo,
+                        self.predict.as_deref(),
+                        dead,
+                    );
+                }
+            }
+        }
+        if let Some(ws) = self.store.as_mut() {
+            ws.publish();
+        }
+    }
+
+    /// Convert the cheapest idle donor into `dst` ahead of its predicted
+    /// arrival, when the [`SpecCandidate`] cost gate admits it: the plan's
+    /// estimated cost must undercut `dst`'s scratch load, so even a
+    /// misprediction wastes less than one cold start.
+    fn speculate(&mut self, ps: &PredictShared, dst: ModelId, now: f64) {
+        let Some(spec) = ps.speculation() else {
+            return;
+        };
+        let target_info = self.repo.model_name_of(dst).and_then(|name| {
+            let cold = self.repo.load_cost(&name)?;
+            let target = self.repo.model(&name)?;
+            Some((cold, target))
+        });
+        let (Some((cold_cost, target)), Some(confidence)) =
+            (target_info, ps.confidence(dst.index()))
+        else {
+            ps.spec_skipped.inc();
+            return;
+        };
+        let choice = self
+            .lifecycle
+            .speculation_source(&self.repo, &self.views, dst, 0, now, |m| m);
+        let Some(choice) = choice else {
+            ps.spec_skipped.inc(); // no idle donor with a plan
+            return;
+        };
+        let candidate = SpecCandidate {
+            spec_cost: choice.latency,
+            cold_cost,
+            confidence,
+        };
+        if !candidate.admit(spec.aggressiveness) {
+            ps.spec_skipped.inc();
+            return;
+        }
+        let slot = choice.container;
+        let src = self.views[slot].model;
+        // Retargeting a donor that was itself speculated consumes that
+        // earlier (wrong) guess.
+        note_dead_spec(Some(ps), self.views[slot].speculated);
+        self.views[slot].speculated = false;
+        let t0 = Instant::now();
+        let graph = self
+            .graphs
+            .get_mut(&self.views[slot].id)
+            .expect("live graph");
+        if execute_plan(graph, &choice.plan, &target).is_err() {
+            // The plan failed partway and the donor is in an undefined
+            // state: destroy it. Nobody waited on it, so this is neither
+            // an escalation nor a start — only a skipped speculation.
+            let dead = self.views.swap_remove(slot);
+            retire(&mut self.graphs, &mut self.store, &self.repo, None, dead);
+            if let Some(ws) = self.store.as_mut() {
+                ws.publish();
+            }
+            ps.spec_skipped.inc();
+            return;
+        }
+        *graph = (*target).clone();
+        let seconds = t0.elapsed().as_secs_f64();
+        // Busy while the transform ran; `last_routed` stays untouched, as
+        // in the simulator, so the container's keep-alive lease starts
+        // now and a wrong guess stays donatable.
+        let c = &mut self.views[slot];
+        c.model = dst;
+        c.busy_until = now + seconds;
+        c.speculated = true;
+        if let Some(ws) = self.store.as_mut() {
+            ws.transform(&self.repo, src, dst);
+            ws.publish();
+        }
+        if self.repo.note_transform_seconds(src, dst, seconds) {
+            self.counters.overruns.inc();
+        }
+        ps.speculations.inc();
+    }
+}
+
+/// A container left the pool (keep-alive expiry, eviction, kill): drop
+/// its graph, release its chunks (demoted, not forgotten), and count an
+/// unconsumed speculation as a misprediction.
+fn retire(
+    graphs: &mut HashMap<u64, ModelGraph>,
+    store: &mut Option<WorkerStore>,
+    repo: &ModelRepository,
+    predict: Option<&PredictShared>,
+    c: ContainerView<ModelId>,
+) {
+    graphs.remove(&c.id);
+    note_dead_spec(predict, c.speculated);
+    if let Some(ws) = store.as_mut() {
+        ws.release_model(repo, c.model);
+    }
+}
+
+/// Count a container dying with its speculation unconsumed (no-op with
+/// prediction off or an unspeculated container).
+fn note_dead_spec(predict: Option<&PredictShared>, speculated: bool) {
+    if speculated {
+        if let Some(ps) = predict {
+            ps.spec_mispredictions.inc();
+        }
+    }
+}
+
+/// Everything a worker turn needs: its container pool plus telemetry.
 struct WorkerState {
     node_id: usize,
-    config: GatewayConfig,
-    repo: Arc<ModelRepository>,
+    /// The worker's clock origin: the pool sees seconds since it.
+    epoch: Instant,
+    pool: ContainerPool,
     sink: Arc<dyn TelemetrySink>,
     containers_gauge: Gauge,
     /// Live depth of this node's bounded admission queue
@@ -224,69 +634,15 @@ struct WorkerState {
     depth_gauge: Gauge,
     /// Size of every same-model group served (`optimus_serve_batch_size`).
     batch_hist: Histogram,
-    counters: FaultCounters,
-    store: Option<WorkerStore>,
-    /// Arrival predictor shared with the gateway (`None`: prediction
-    /// off): adaptive keep-alive windows + speculation outcome counters.
-    predict: Option<Arc<PredictShared>>,
     /// Node per model (by `ModelId::index()`): which models this node
     /// would serve, hence which it may speculate on.
     placement: Arc<Vec<usize>>,
 }
 
 impl WorkerState {
-    /// The keep-alive window for one container: the predictor's learned
-    /// per-model window, or the global config value with prediction off.
-    fn keep_alive_window(&self, id: ModelId) -> f64 {
-        match self.predict.as_ref() {
-            Some(ps) => ps.window(id.index()),
-            None => self.config.keep_alive,
-        }
-    }
-
-    /// Count a container dying with its speculation unconsumed.
-    fn note_dead_speculation(&self, speculated: bool) {
-        note_dead_spec(self.predict.as_deref(), speculated);
-    }
-
-    fn handle_control(&mut self, item: ControlItem, containers: &mut Vec<LiveContainer>) {
-        match item {
-            ControlItem::Crash => {
-                self.counters.evictions.add(containers.len() as u64);
-                for c in containers.iter() {
-                    self.note_dead_speculation(c.speculated);
-                }
-                containers.clear();
-                if let Some(ws) = self.store.as_mut() {
-                    ws.crash();
-                    ws.publish();
-                }
-                self.containers_gauge.set(0.0);
-            }
-            ControlItem::Warm(chunks) => {
-                if let Some(ws) = self.store.as_mut() {
-                    ws.warm(&chunks);
-                    ws.publish();
-                }
-            }
-            ControlItem::Kill => {
-                if let Some(victim) = containers
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, c)| c.last_used)
-                    .map(|(i, _)| i)
-                {
-                    let dead = containers.swap_remove(victim);
-                    self.counters.evictions.inc();
-                    self.note_dead_speculation(dead.speculated);
-                    if let Some(ws) = self.store.as_mut() {
-                        ws.release_model(&self.repo, dead.model_id);
-                        ws.publish();
-                    }
-                }
-                self.containers_gauge.set(containers.len() as f64);
-            }
-        }
+    /// Seconds since the worker started: the pool's clock.
+    fn now(&self) -> f64 {
+        self.epoch.elapsed().as_secs_f64()
     }
 }
 
@@ -313,10 +669,20 @@ pub(crate) fn run_worker(
     placement: Arc<Vec<usize>>,
 ) {
     let node = node_id.to_string();
+    let mut pool = ContainerPool::new(node_id, &config, repo.clone(), &metrics);
+    pool.store = config
+        .store
+        .map(|sc| WorkerStore::new(node_id, sc, &repo, &metrics, store_stats));
+    pool.predict = predict;
+    // Publish the empty-store baseline so `/store` reports every node
+    // from the first request onward.
+    if let Some(ws) = pool.store.as_mut() {
+        ws.publish();
+    }
     let mut state = WorkerState {
         node_id,
-        config,
-        repo: repo.clone(),
+        epoch: Instant::now(),
+        pool,
         sink,
         containers_gauge: metrics.gauge("optimus_containers", &[("node", &node)]),
         depth_gauge: metrics.gauge("optimus_serve_queue_depth", &[("node", &node)]),
@@ -325,29 +691,14 @@ pub(crate) fn run_worker(
             &[("node", &node)],
             || vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
         ),
-        counters: FaultCounters {
-            escalations: metrics.counter("optimus_safeguard_escalations_total", &[("node", &node)]),
-            overruns: metrics.counter("optimus_transform_overruns_total", &[("node", &node)]),
-            evictions: metrics.counter("optimus_fault_evictions_total", &[("node", &node)]),
-        },
-        store: config
-            .store
-            .map(|sc| WorkerStore::new(node_id, sc, &repo, &metrics, store_stats)),
-        predict,
         placement,
     };
-    // Publish the empty-store baseline so `/store` reports every node
-    // from the first request onward.
-    if let Some(ws) = state.store.as_mut() {
-        ws.publish();
-    }
-    let mut containers: Vec<LiveContainer> = Vec::new();
     let max_batch = config.serving.max_batch.max(1);
     let window = Duration::from_micros(config.serving.max_batch_wait_us);
     loop {
         // Control events do not wait behind queued inference work.
         while let Some(ev) = ctrl_rx.try_recv() {
-            state.handle_control(ev, &mut containers);
+            state.handle_control(ev);
         }
         // Idle tick: wake periodically so control events (and shutdown)
         // are noticed even when no requests arrive. With prediction on,
@@ -358,8 +709,8 @@ pub(crate) fn run_worker(
         let first = match infer_rx.recv_timeout(Duration::from_millis(20)) {
             Ok(item) => item,
             Err(RecvTimeoutError::Timeout) => {
-                if state.predict.is_some() {
-                    idle_maintenance(&mut state, &mut containers);
+                if state.pool.predict.is_some() {
+                    idle_maintenance(&mut state);
                 }
                 continue;
             }
@@ -388,7 +739,7 @@ pub(crate) fn run_worker(
         // A fault event drawn alongside a request in this batch must land
         // before the batch is served (single-channel FIFO equivalence).
         while let Some(ev) = ctrl_rx.try_recv() {
-            state.handle_control(ev, &mut containers);
+            state.handle_control(ev);
         }
         // Partition into per-model groups, preserving arrival order;
         // different models arriving in one window are never co-batched.
@@ -400,87 +751,72 @@ pub(crate) fn run_worker(
             }
         }
         for (model_id, group) in groups {
-            serve_group(&mut state, &mut containers, model_id, group);
+            serve_group(&mut state, model_id, group);
         }
     }
     // Late control events (e.g. a crash racing a drain) are dropped with
     // the node.
 }
 
-/// Serve one same-model group: acquire the container once, then run each
-/// request's own forward pass. The first request pays (and reports) the
-/// acquisition — cold, transformed or warm — and the rest are warm hits
-/// on the container it produced, exactly as if they had arrived
-/// sequentially.
-fn serve_group(
-    state: &mut WorkerState,
-    containers: &mut Vec<LiveContainer>,
-    model_id: ModelId,
-    group: Vec<InferItem>,
-) {
+impl WorkerState {
+    fn handle_control(&mut self, item: ControlItem) {
+        self.pool.handle_control(item);
+        self.containers_gauge.set(self.pool.len() as f64);
+    }
+}
+
+/// Serve one same-model group: the first request pays (and reports) the
+/// container acquisition — cold, transformed or warm — and the rest are
+/// warm hits on the container it produced, exactly as if they had arrived
+/// sequentially. Each request runs its own forward pass.
+fn serve_group(state: &mut WorkerState, model_id: ModelId, group: Vec<InferItem>) {
     let batch_size = group.len();
     state.batch_hist.observe(batch_size as f64);
     // Telemetry labels resolve the interned id back to its name once per
     // group, here at the edge.
     let name = state
+        .pool
         .repo
         .model_name_of(model_id)
         .unwrap_or_else(|| format!("model#{}", model_id.0));
-    // Keep-alive eviction: expired containers release their chunks, which
-    // demotes them to node memory rather than forgetting them.
-    sweep_expired(state, containers);
-    let mut acquired: Option<Obtained> = None;
     for item in group {
         let wait = item.enqueued.elapsed().as_secs_f64();
         let mut span = Span::begin(name.clone(), state.node_id);
         span.add(Phase::Wait, wait);
-        let obtained = match acquired.take() {
-            // Followers hit the container the group leader acquired.
-            Some(prev) => Ok(Obtained {
-                slot: prev.slot,
-                start: ServedStart::Warm,
-                startup_seconds: 0.0,
-                transform_steps: 0,
-                plan_cache_hit: None,
-            }),
-            None => obtain_container(
-                &state.config,
-                &state.repo,
-                containers,
-                state.store.as_mut(),
-                &item,
-                &name,
-                &state.counters,
-                state.predict.as_deref(),
-            ),
-        };
-        let result = obtained.and_then(|obtained| {
-            span.set_kind(obtained.start.into());
-            span.add(Phase::Load, obtained.startup_seconds);
-            span.set_transform_steps(obtained.transform_steps);
-            if let Some(hit) = obtained.plan_cache_hit {
+        let now = state.now();
+        let acquired = state.pool.acquire(model_id, now, item.fail_transform);
+        let result = acquired.and_then(|got| {
+            span.set_kind(got.start.into());
+            span.add(Phase::Load, got.startup_seconds);
+            span.set_transform_steps(got.transform_steps);
+            if let Some(hit) = got.plan_cache_hit {
                 span.set_plan_cache_hit(hit);
             }
-            let slot = obtained.slot;
+            if got.start != ServedStart::Warm {
+                // Publish the start's chunk movements before the reply, so
+                // a client that reads `/store` next sees them.
+                if let Some(ws) = state.pool.store.as_mut() {
+                    ws.publish();
+                }
+            }
             let t0 = Instant::now();
-            let output = infer::run(&containers[slot].model, item.input.clone())
+            let output = infer::run(state.pool.graph(got.slot), item.input.clone())
                 .map_err(|e| ServeError::Inference(e.to_string()))?;
             let compute_seconds = t0.elapsed().as_secs_f64();
             span.add(Phase::Compute, compute_seconds);
-            containers[slot].last_used = Instant::now();
-            let response = InferenceResponse {
+            let done = state.now();
+            state.pool.finish(got.slot, done);
+            Ok(InferenceResponse {
                 model: name.clone(),
                 output,
-                start: obtained.start,
+                start: got.start,
                 wait_seconds: wait,
-                startup_seconds: obtained.startup_seconds,
+                startup_seconds: got.startup_seconds,
                 compute_seconds,
                 node: state.node_id,
-                transform_steps: obtained.transform_steps,
+                transform_steps: got.transform_steps,
                 batch_size,
-            };
-            acquired = Some(obtained);
-            Ok(response)
+            })
         });
         if result.is_ok() {
             state.sink.record(&span.finish());
@@ -488,43 +824,9 @@ fn serve_group(
         // The client may have given up; a dead reply channel is fine.
         let _ = item.reply.send(result);
     }
-    state.containers_gauge.set(containers.len() as f64);
-    if let Some(ws) = state.store.as_mut() {
+    state.containers_gauge.set(state.pool.len() as f64);
+    if let Some(ws) = state.pool.store.as_mut() {
         ws.publish();
-    }
-}
-
-/// Count a container dying with its speculation unconsumed (no-op with
-/// prediction off or an unspeculated container).
-fn note_dead_spec(predict: Option<&PredictShared>, speculated: bool) {
-    if speculated {
-        if let Some(ps) = predict {
-            ps.spec_mispredictions.inc();
-        }
-    }
-}
-
-/// Keep-alive sweep: evict containers idle past their window (the
-/// predictor's per-model window when prediction is on, the global
-/// `keep_alive` otherwise). Expired chunks are released (demoted, not
-/// forgotten); a speculated container expiring unconsumed counts as a
-/// misprediction.
-fn sweep_expired(state: &mut WorkerState, containers: &mut Vec<LiveContainer>) {
-    let now = Instant::now();
-    let mut expired = Vec::new();
-    containers.retain(|c| {
-        let keep =
-            now.duration_since(c.last_used).as_secs_f64() <= state.keep_alive_window(c.model_id);
-        if !keep {
-            expired.push((c.model_id, c.speculated));
-        }
-        keep
-    });
-    for &(id, speculated) in &expired {
-        state.note_dead_speculation(speculated);
-        if let Some(ws) = state.store.as_mut() {
-            ws.release_model(&state.repo, id);
-        }
     }
 }
 
@@ -532,16 +834,17 @@ fn sweep_expired(state: &mut WorkerState, containers: &mut Vec<LiveContainer>) {
 /// windows, then execute any due speculative transforms. Runs only when
 /// the inference queue has been empty for a full tick, so speculation
 /// work never preempts a real request.
-fn idle_maintenance(state: &mut WorkerState, containers: &mut Vec<LiveContainer>) {
-    let before = containers.len();
-    sweep_expired(state, containers);
-    if containers.len() != before {
-        state.containers_gauge.set(containers.len() as f64);
-        if let Some(ws) = state.store.as_mut() {
+fn idle_maintenance(state: &mut WorkerState) {
+    let now = state.now();
+    let before = state.pool.len();
+    state.pool.sweep(now);
+    if state.pool.len() != before {
+        state.containers_gauge.set(state.pool.len() as f64);
+        if let Some(ws) = state.pool.store.as_mut() {
             ws.publish();
         }
     }
-    let Some(ps) = state.predict.clone() else {
+    let Some(ps) = state.pool.predict.clone() else {
         return;
     };
     if ps.speculation().is_none() {
@@ -551,291 +854,77 @@ fn idle_maintenance(state: &mut WorkerState, containers: &mut Vec<LiveContainer>
     // arrival band is due — accepted only when an idle donor is actually
     // available right now. Rejected candidates stay armed, so a later
     // tick (or a model's own node) can still claim them.
-    let now = Instant::now();
-    let have_donor = containers.iter().any(|c| {
-        !c.speculated
-            && now.duration_since(c.last_used).as_secs_f64() >= state.config.idle_threshold
-    });
+    let pool = &state.pool;
+    let have_donor = pool.views.iter().any(|c| pool.lifecycle.is_idle(c, now));
     let due = ps.due(|idx| {
         have_donor
             && state.placement.get(idx) == Some(&state.node_id)
-            && !containers.iter().any(|c| c.model_id.index() == idx)
+            && !pool.views.iter().any(|c| c.model.index() == idx)
     });
     for idx in due {
-        speculate_one(state, containers, &ps, ModelId::from_index(idx));
+        state.pool.speculate(&ps, ModelId::from_index(idx), now);
     }
+    state.containers_gauge.set(state.pool.len() as f64);
 }
 
-/// Try to convert one idle donor into `dst` ahead of its predicted
-/// arrival. Mirrors the reactive transform path (donor scan, cached
-/// plan, store accounting) but is admitted by the [`SpecCandidate`]
-/// cost gate: the plan's estimated cost must undercut `dst`'s scratch
-/// load, so even a misprediction wastes less than one cold start.
-fn speculate_one(
-    state: &mut WorkerState,
-    containers: &mut Vec<LiveContainer>,
-    ps: &PredictShared,
-    dst: ModelId,
-) {
-    let Some(spec) = ps.speculation() else {
-        return;
-    };
-    let target_info = state.repo.model_name_of(dst).and_then(|name| {
-        let cold = state.repo.load_cost(&name)?;
-        let target = state.repo.model(&name)?;
-        Some((cold, target))
-    });
-    let (Some((cold_cost, target)), Some(confidence)) = (target_info, ps.confidence(dst.index()))
-    else {
-        ps.spec_skipped.inc();
-        return;
-    };
-    // Idle donors, longest-idle first — the same order the reactive
-    // path scans (§4.2). Containers already speculated for another model
-    // are reserved, not cannibalized.
-    let now = Instant::now();
-    let mut donors: Vec<usize> = containers
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| {
-            !c.speculated
-                && now.duration_since(c.last_used).as_secs_f64() >= state.config.idle_threshold
-        })
-        .map(|(i, _)| i)
-        .collect();
-    donors.sort_by(|&a, &b| containers[a].last_used.cmp(&containers[b].last_used));
-    for i in donors {
-        let src_id = containers[i].model_id;
-        let Some(TransformDecision::Transform(plan)) = state.repo.decide_by_id(src_id, dst) else {
-            continue;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use optimus_core::GroupPlanner;
+    use optimus_model::{Activation, GraphBuilder, PoolKind};
+    use optimus_predict::{PredictConfig, SpeculationConfig};
+    use optimus_profile::CostModel;
+
+    fn tiny(name: &str, channels: &[usize]) -> ModelGraph {
+        let mut b = GraphBuilder::new(name);
+        let mut x = b.input([1, 3, 8, 8]);
+        let mut ch = 3;
+        for &c in channels {
+            x = b.conv2d_after(x, ch, c, (3, 3), (1, 1), 1);
+            x = b.activation_after(x, Activation::Relu);
+            ch = c;
+        }
+        let x = b.pool_after(x, PoolKind::Max, (2, 2), (2, 2));
+        let x = b.flatten_after(x);
+        let _ = b.dense_after(x, ch * 16, 4);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn failed_speculation_is_skipped_not_escalated() {
+        let repo = ModelRepository::new(Box::new(GroupPlanner));
+        let cost = CostModel::default();
+        repo.register(tiny("src", &[4]), &cost);
+        repo.register(tiny("dst", &[4, 8]), &cost);
+        let repo = Arc::new(repo);
+        let id = |name: &str| repo.model_id(name).expect("registered");
+        let metrics = MetricsRegistry::new();
+        let config = GatewayConfig {
+            idle_threshold: 0.0,
+            store: None,
+            ..GatewayConfig::default()
         };
-        let candidate = SpecCandidate {
-            spec_cost: plan.cost.total(),
-            cold_cost,
-            confidence,
+        let mut pool = ContainerPool::new(0, &config, repo.clone(), &metrics);
+        // An idle donor labelled "src" whose graph is something else: the
+        // cached src → dst plan does not apply, so `execute_plan` fails.
+        pool.views.push(ContainerView::new(0, id("src"), 0.0, 0.0));
+        pool.graphs.insert(0, tiny("other", &[16, 16]));
+        let predict = PredictConfig {
+            min_history: 2,
+            speculation: Some(SpeculationConfig {
+                lead: 5.0,
+                aggressiveness: 100.0,
+            }),
+            ..PredictConfig::default()
         };
-        if !candidate.admit(spec.aggressiveness) {
-            ps.spec_skipped.inc();
-            return;
-        }
-        // Repurposing a donor that was itself speculated consumes that
-        // earlier (wrong) guess.
-        state.note_dead_speculation(containers[i].speculated);
-        containers[i].speculated = false;
-        let t0 = Instant::now();
-        match execute_plan(&mut containers[i].model, &plan, &target) {
-            Ok(_) => {
-                containers[i].model = (*target).clone();
-                containers[i].model_id = dst;
-                containers[i].speculated = true;
-                // A fresh keep-alive lease, like any newly provisioned
-                // container: the guess must survive until the predicted
-                // arrival. A wrong guess is reserved (never donated) and
-                // dies at the keep-alive sweep as a misprediction.
-                containers[i].last_used = Instant::now();
-                let seconds = t0.elapsed().as_secs_f64();
-                if let Some(ws) = state.store.as_mut() {
-                    ws.transform(&state.repo, src_id, dst);
-                    ws.publish();
-                }
-                if state.repo.note_transform_seconds(src_id, dst, seconds) {
-                    state.counters.overruns.inc();
-                }
-                ps.speculations.inc();
-            }
-            Err(_) => {
-                // The plan failed partway: the donor is in an undefined
-                // state, destroy it (same safeguard as the reactive
-                // path). No cold-start escalation — nobody is waiting.
-                let dead = containers.swap_remove(i);
-                state.counters.escalations.inc();
-                state.note_dead_speculation(dead.speculated);
-                if let Some(ws) = state.store.as_mut() {
-                    ws.release_model(&state.repo, src_id);
-                    ws.publish();
-                }
-                state.containers_gauge.set(containers.len() as f64);
-                ps.spec_skipped.inc();
-            }
-        }
-        return;
+        let ps = PredictShared::new(predict, 30.0, &repo.model_names(), &metrics, None);
+        ps.observe(id("dst").index());
+        ps.observe(id("dst").index());
+        pool.speculate(&ps, id("dst"), 1.0);
+        let escalations = metrics.counter("optimus_safeguard_escalations_total", &[("node", "0")]);
+        assert_eq!(escalations.get(), 0, "no request escalated");
+        assert_eq!(ps.spec_skipped.get(), 1);
+        assert_eq!(ps.speculations.get(), 0);
+        assert!(pool.is_empty(), "the corrupt donor is destroyed");
     }
-    // No idle donor with an applicable plan.
-    ps.spec_skipped.inc();
-}
-
-/// How a container was obtained for one request.
-struct Obtained {
-    /// Index into the worker's container pool.
-    slot: usize,
-    start: ServedStart,
-    /// Wall-clock spent transforming or instantiating (0 for warm).
-    startup_seconds: f64,
-    /// Meta-operator steps executed (0 unless transformed).
-    transform_steps: usize,
-    /// `Some(true)` when a cached plan was applied, `Some(false)` when
-    /// donors existed but every decision fell back to loading, `None`
-    /// when no donor was consulted (warm hit or empty node).
-    plan_cache_hit: Option<bool>,
-}
-
-/// Get a container holding the model, preferring warm, then
-/// transformation of an idle donor, then cold instantiation.
-///
-/// Safeguard under failure: when a transformation aborts — injected via
-/// [`InferItem::fail_transform`] or a real [`execute_plan`] error — the
-/// corrupt donor is destroyed (its chunks released) and the request
-/// escalates to a cold start instead of erroring back to the client.
-#[allow(clippy::too_many_arguments)]
-fn obtain_container(
-    config: &GatewayConfig,
-    repo: &ModelRepository,
-    containers: &mut Vec<LiveContainer>,
-    mut store: Option<&mut WorkerStore>,
-    item: &InferItem,
-    name: &str,
-    counters: &FaultCounters,
-    predict: Option<&PredictShared>,
-) -> Result<Obtained, ServeError> {
-    let model_id = item.model_id;
-    // Warm hit: integer comparison on interned ids. A speculated
-    // container serving its first request is a prediction hit — this is
-    // the cold start speculation avoided.
-    if let Some(i) = containers.iter().position(|c| c.model_id == model_id) {
-        if containers[i].speculated {
-            containers[i].speculated = false;
-            if let Some(ps) = predict {
-                ps.spec_hits.inc();
-            }
-        }
-        return Ok(Obtained {
-            slot: i,
-            start: ServedStart::Warm,
-            startup_seconds: 0.0,
-            transform_steps: 0,
-            plan_cache_hit: None,
-        });
-    }
-    let target = repo
-        .model(name)
-        .ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
-    let now = Instant::now();
-    // Idle donors, longest-idle first (§4.2). Speculated containers are
-    // reserved for their predicted arrival and skipped — they can still
-    // be evicted under capacity pressure, so real work never starves.
-    let mut donors: Vec<usize> = containers
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| {
-            !c.speculated && now.duration_since(c.last_used).as_secs_f64() >= config.idle_threshold
-        })
-        .map(|(i, _)| i)
-        .collect();
-    donors.sort_by(|&a, &b| containers[a].last_used.cmp(&containers[b].last_used));
-    let consulted_donors = !donors.is_empty();
-    for i in donors {
-        let src_id = containers[i].model_id;
-        match repo.decide_by_id(src_id, model_id) {
-            Some(TransformDecision::Transform(plan)) => {
-                if item.fail_transform {
-                    // Injected transform failure: the donor is corrupt
-                    // mid-plan. Destroy it, release its chunks, escalate
-                    // to a cold start (§6.3's safeguard under failure).
-                    let dead = containers.swap_remove(i);
-                    note_dead_spec(predict, dead.speculated);
-                    counters.escalations.inc();
-                    if let Some(ws) = store.as_deref_mut() {
-                        ws.release_model(repo, src_id);
-                    }
-                    break;
-                }
-                let t0 = Instant::now();
-                // Repurposing a speculated donor consumes that earlier
-                // (wrong) guess.
-                note_dead_spec(predict, containers[i].speculated);
-                containers[i].speculated = false;
-                match execute_plan(&mut containers[i].model, &plan, &target) {
-                    Ok(report) => {
-                        // Cached plans reference the op-id space of the
-                        // *registered* graphs (see `execute_plan`'s
-                        // contract). The transformed graph is verified
-                        // structurally identical to the target, so
-                        // canonicalise its id space by adopting the
-                        // registered graph — this keeps future cached
-                        // plans applicable to this container.
-                        containers[i].model = (*target).clone();
-                        containers[i].model_id = model_id;
-                        let startup = t0.elapsed().as_secs_f64();
-                        containers[i].last_used = Instant::now();
-                        if let Some(ws) = store.as_deref_mut() {
-                            // Admit the plan's fetched payload (only the
-                            // delta crosses a tier), synthesize the reused
-                            // remainder in place, release the donor's
-                            // chunks.
-                            ws.transform(repo, src_id, model_id);
-                        }
-                        if repo.note_transform_seconds(src_id, model_id, startup) {
-                            counters.overruns.inc();
-                        }
-                        return Ok(Obtained {
-                            slot: i,
-                            start: ServedStart::Transformed,
-                            startup_seconds: startup,
-                            transform_steps: report.steps_applied,
-                            plan_cache_hit: Some(true),
-                        });
-                    }
-                    Err(_) => {
-                        // The plan failed partway, leaving the donor in an
-                        // undefined state: destroy it and escalate to cold.
-                        containers.swap_remove(i);
-                        counters.escalations.inc();
-                        // (Its speculation, if any, was already consumed
-                        // above.)
-                        if let Some(ws) = store.as_deref_mut() {
-                            ws.release_model(repo, src_id);
-                        }
-                        break;
-                    }
-                }
-            }
-            // Safeguard picked loading, or the pair is unknown: try the
-            // next donor — a cold start may still be cheaper overall.
-            _ => continue,
-        }
-    }
-    // Cold start: instantiate the model; evict LRU if at capacity.
-    let t0 = Instant::now();
-    if containers.len() >= config.capacity_per_node {
-        if let Some(victim) = containers
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| c.last_used)
-            .map(|(i, _)| i)
-        {
-            let evicted = containers.swap_remove(victim);
-            note_dead_spec(predict, evicted.speculated);
-            if let Some(ws) = store.as_deref_mut() {
-                ws.release_model(repo, evicted.model_id);
-            }
-        }
-    }
-    containers.push(LiveContainer {
-        model: (*target).clone(),
-        model_id,
-        last_used: Instant::now(),
-        speculated: false,
-    });
-    if let Some(ws) = store {
-        ws.admit_model(repo, model_id);
-    }
-    let startup = t0.elapsed().as_secs_f64();
-    repo.note_load_seconds(model_id, startup);
-    Ok(Obtained {
-        slot: containers.len() - 1,
-        start: ServedStart::Cold,
-        startup_seconds: startup,
-        transform_steps: 0,
-        plan_cache_hit: if consulted_donors { Some(false) } else { None },
-    })
 }

@@ -141,12 +141,15 @@ fn concurrent_clients_are_all_served() {
 
 #[test]
 fn capacity_is_respected_via_lru_eviction() {
-    // Capacity 1: each new model evicts (or transforms) the previous one,
-    // but requests always succeed.
+    // Capacity 1: the node is always full and nothing ever idles, so each
+    // new model transforms the eviction victim (the one container) instead
+    // of destroying it. Requests always succeed and the node never holds
+    // more than one container.
+    let registry = std::sync::Arc::new(optimus_serve::MetricsRegistry::new());
     let config = GatewayConfig {
         nodes: 1,
         capacity_per_node: 1,
-        idle_threshold: 1e9, // never idle: forces the eviction path
+        idle_threshold: 1e9, // never idle: only the eviction victim donates
         keep_alive: 1e9,
         store: Some(optimus_store::StoreConfig::default()),
         faults: None,
@@ -154,13 +157,18 @@ fn capacity_is_respected_via_lru_eviction() {
         predict: None,
     };
     let gw = Gateway::builder(config)
+        .metrics(registry.clone())
         .register(tiny("x", &[4]))
         .register(tiny("y", &[8]))
         .spawn();
-    for m in ["x", "y", "x", "y"] {
-        let r = gw.infer(m, Tensor::zeros([1, 3, 8, 8])).unwrap();
-        assert_eq!(r.start, ServedStart::Cold, "{m} must cold-start each time");
-    }
+    let starts: Vec<ServedStart> = ["x", "y", "x", "y"]
+        .iter()
+        .map(|m| gw.infer(m, Tensor::zeros([1, 3, 8, 8])).unwrap().start)
+        .collect();
+    use ServedStart::{Cold, Transformed};
+    assert_eq!(starts, [Cold, Transformed, Transformed, Transformed]);
+    let containers = registry.gauge("optimus_containers", &[("node", "0")]);
+    assert_eq!(containers.get(), 1.0);
     gw.shutdown();
 }
 

@@ -122,7 +122,7 @@ fn speculation_warms_a_predicted_arrival() {
     let config = GatewayConfig {
         nodes: 1,
         capacity_per_node: 4,
-        idle_threshold: 0.1,
+        idle_threshold: 0.25,
         keep_alive: 0.6,
         store: None,
         faults: None,
@@ -140,28 +140,37 @@ fn speculation_warms_a_predicted_arrival() {
             ..PredictConfig::default()
         }),
     };
-    let gw = Gateway::builder(config)
+    let cycles = 6;
+    let mut builder = Gateway::builder(config)
         .metrics(registry.clone())
         // In-process "loads" are graph clones (microseconds), so the
         // default measured-wall-clock guard would demote every plan
         // after two real transforms; judge plans by modeled cost only.
         .overrun_policy(f64::INFINITY, 2)
         .register(tiny("feeder", &[4]))
-        .register(tiny("hot", &[4, 8]))
-        .spawn();
+        .register(tiny("hot", &[4, 8]));
+    for k in 0..cycles {
+        builder = builder.register(tiny(&format!("spare{k}"), &[4, 4]));
+    }
+    let gw = builder.spawn();
     // "hot" returns every ~1 s — past the 0.6 s keep-alive, so reactively
-    // it can never warm-start. "feeder" refreshes strictly every 250 ms
-    // (a uniform cadence keeps its own forecast band closed whenever a
-    // donor is idle), keeping a same-family donor around. Once "hot" has
-    // history, an idle tick between its arrivals transforms the donor
-    // ahead of time.
+    // it can never warm-start. "feeder" refreshes every 125 ms, inside
+    // the idle threshold, so its container never becomes a donor. Half
+    // way between "hot" arrivals a one-off "spare" model reclaims the
+    // idle "hot" container, which idles in turn; once "hot" has history,
+    // an idle tick transforms that donor ahead of the next "hot" arrival.
+    // Each spare arrives once, so nothing else is ever forecast.
     let mut starts = Vec::new();
-    for step in 0..24 {
-        if step % 4 == 0 {
-            starts.push(gw.infer("hot", input()).unwrap().start);
+    for step in 0..8 * cycles {
+        match step % 8 {
+            0 => starts.push(gw.infer("hot", input()).unwrap().start),
+            4 => {
+                gw.infer(&format!("spare{}", step / 8), input()).unwrap();
+            }
+            _ => {}
         }
         gw.infer("feeder", input()).unwrap();
-        std::thread::sleep(Duration::from_millis(250));
+        std::thread::sleep(Duration::from_millis(125));
     }
     let speculations = registry
         .counter("optimus_predict_speculations_total", &[])

@@ -68,31 +68,6 @@ impl MemoryLimit {
     }
 }
 
-/// Predictive prewarming (§2.2's first class of cold-start mitigation,
-/// which the paper notes Optimus is *complementary* to).
-///
-/// After each request of a function, the platform predicts the next
-/// arrival from the observed mean inter-arrival gap and schedules a
-/// proactive transformation `lead` seconds before it: if at that moment
-/// the function has no warm container but an idle donor exists, the donor
-/// is transformed ahead of time, so the predicted request warm-starts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PrewarmConfig {
-    /// Seconds of lead before the predicted arrival.
-    pub lead: f64,
-    /// Minimum observed arrivals before predictions are trusted.
-    pub min_history: usize,
-}
-
-impl Default for PrewarmConfig {
-    fn default() -> Self {
-        PrewarmConfig {
-            lead: 5.0,
-            min_history: 3,
-        }
-    }
-}
-
 /// Platform-level simulation parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
@@ -122,9 +97,6 @@ pub struct SimConfig {
     /// Optional memory-aware capacity limit (in addition to the slot
     /// count); `None` reproduces the paper's homogeneous allocation.
     pub memory: Option<MemoryLimit>,
-    /// Optional predictive prewarming layered on top of the policy
-    /// (meaningful for Optimus/Pagurus which can transform donors).
-    pub prewarm: Option<PrewarmConfig>,
     /// Optional content-addressed weight store (`optimus-store`): each node
     /// tracks chunk residency across Remote/NodeDisk/NodeMemory/Container
     /// tiers and every non-warm start pays transport for the bytes missing
@@ -185,7 +157,6 @@ impl Default for SimConfig {
             tetris_init: 0.30,
             tetris_map_per_op: 0.0002,
             memory: None,
-            prewarm: None,
             store: None,
             faults: None,
             fleet: None,

@@ -26,16 +26,13 @@
 //! dispatch time (run-to-completion, no preemption).
 
 mod config;
-mod container;
 mod metrics;
 mod platform;
 mod policy;
 
 pub use config::{
-    MemoryLimit, PlacementStrategy, PrewarmConfig, SimConfig, DEFAULT_IDLE_THRESHOLD_S,
-    DEFAULT_KEEP_ALIVE_S,
+    MemoryLimit, PlacementStrategy, SimConfig, DEFAULT_IDLE_THRESHOLD_S, DEFAULT_KEEP_ALIVE_S,
 };
-pub use container::{Container, ContainerState};
 pub use metrics::{
     FunctionSummary, PhaseBreakdown, PhasePercentiles, RequestRecord, SimReport, StartKind,
 };

@@ -112,9 +112,6 @@ pub struct SimReport {
     pub system: String,
     /// All per-request records, in completion order of dispatch.
     pub records: Vec<RequestRecord>,
-    /// Proactive transformations executed by the prewarming extension
-    /// (0 unless `SimConfig::prewarm` is set).
-    pub prewarms: usize,
     /// Fleet-aggregated weight-store statistics (`None` unless
     /// `SimConfig::store` is set): per-tier resident bytes, chunk
     /// hit/miss counts, and the dedup ratio content addressing achieved.
@@ -148,7 +145,6 @@ impl Serialize for SimReport {
         let mut m = serde::Map::new();
         m.insert("system", self.system.to_value());
         m.insert("records", self.records.to_value());
-        m.insert("prewarms", self.prewarms.to_value());
         m.insert("store", self.store.to_value());
         m.insert("faults", self.faults.to_value());
         if let Some(fleet) = &self.fleet {
@@ -359,7 +355,6 @@ mod tests {
             fleet: None,
             predict: None,
             llm: None,
-            prewarms: 0,
             records: vec![
                 rec(StartKind::Warm, 0.0, 0.0, 0.0, 1.0),
                 rec(StartKind::Cold, 0.0, 1.0, 2.0, 1.0),
@@ -389,7 +384,6 @@ mod tests {
             fleet: None,
             predict: None,
             llm: None,
-            prewarms: 0,
             records: (1..=100)
                 .map(|i| rec(StartKind::Warm, 0.0, 0.0, 0.0, i as f64))
                 .collect(),
@@ -432,7 +426,6 @@ mod summary_tests {
             fleet: None,
             predict: None,
             llm: None,
-            prewarms: 0,
             records: vec![
                 rec("a", StartKind::Cold, 2.0),
                 rec("b", StartKind::Warm, 1.0),
@@ -472,7 +465,6 @@ mod summary_tests {
             fleet: None,
             predict: None,
             llm: None,
-            prewarms: 0,
             records,
         };
         let per = report.per_function();
@@ -498,7 +490,6 @@ mod summary_tests {
             fleet: None,
             predict: None,
             llm: None,
-            prewarms: 0,
             records: vec![rec("f", StartKind::Cold, 1.5)],
         };
         let csv = report.to_csv();
@@ -533,7 +524,6 @@ mod slo_tests {
             predict: None,
             llm: None,
             records: vec![rec(0.5), rec(1.5), rec(2.5), rec(0.9)],
-            prewarms: 0,
         };
         assert!((report.slo_attainment(1.0) - 0.5).abs() < 1e-12);
         assert_eq!(report.slo_attainment(10.0), 1.0);

@@ -6,15 +6,17 @@
 //! The per-event loop never touches a `String`: function names are
 //! interned once at [`Platform::new`] into dense [`FunctionId`]s (see
 //! `optimus_model::Interner`), per-function data lives in a `Vec`
-//! indexed by id, containers carry ids, and donor selection runs on
-//! `Copy` `(container, id)` pairs through the repository's id-keyed
-//! fast paths. Reusable scratch buffers ([`RunState`]) make the steady
-//! state of [`Platform::run`] allocation-free.
+//! indexed by id, containers carry ids, and the container-lifecycle
+//! policy (`optimus_core::scheduler`) scans them in place through the
+//! repository's id-keyed fast paths. Reusable scratch buffers in the
+//! per-run [`RunCtx`] make the steady state of [`Platform::run`]
+//! allocation-free.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use optimus_core::{scheduler::choose_source_by_id, ModelRepository, PlanChunks};
+use optimus_core::scheduler::{expire, lru, ContainerView, Lifecycle, Start};
+use optimus_core::{ModelRepository, PlanChunks};
 use optimus_faults::{FaultInjector, FaultKind, FaultReport, FaultStats, RequestFaults};
 use optimus_fleet::{
     plan_multicast, remote_only_seconds, Autoscaler, FleetReport, FleetSignals, ScaleDecision,
@@ -28,10 +30,12 @@ use optimus_store::{ChunkIndex, ChunkRef, NodeStore, StoreStats};
 use optimus_telemetry::{RequestTrace, TelemetrySink};
 use optimus_workload::{demand_histogram, Trace};
 
-use crate::config::{MemoryLimit, PlacementStrategy, SimConfig};
-use crate::container::{Container, ContainerState};
+use crate::config::{PlacementStrategy, SimConfig};
 use crate::metrics::{RequestRecord, SimReport, StartKind};
 use crate::policy::Policy;
+
+/// A simulated container: the lifecycle policy's view, keyed by function.
+type Container = ContainerView<FunctionId>;
 
 /// Per-function precomputed data, indexed by [`FunctionId`].
 struct FunctionData {
@@ -76,41 +80,6 @@ impl StoreState {
     /// persisted plan cache.
     fn artifact_bytes(&self) -> u64 {
         self.artifact_chunks.iter().map(|c| c.bytes).sum()
-    }
-}
-
-/// Reusable scratch buffers of one [`Platform::run`]: sized once, cleared
-/// (or generation-bumped) per event, so the event loop stays
-/// allocation-free after warm-up.
-struct RunState {
-    /// Donor candidates of the current event: `(container index, id)`.
-    donors: Vec<(usize, FunctionId)>,
-    /// Containers the current event destroyed, as `(function, was a
-    /// speculated container)` — for chunk release and misprediction
-    /// accounting.
-    evicted: Vec<(FunctionId, bool)>,
-    /// Tetris residency marks: signature `s` is resident on the current
-    /// node iff `sig_mark[s] == sig_gen`. Bumping the generation clears
-    /// the whole set in O(1) instead of rebuilding a `HashSet` per event.
-    sig_mark: Vec<u64>,
-    sig_gen: u64,
-    /// Prewarm-schedule keys due at the current arrival.
-    due: Vec<(u64, FunctionId)>,
-    /// Function indices whose speculative transform is due at the current
-    /// arrival.
-    spec_due: Vec<usize>,
-}
-
-impl RunState {
-    fn new(sig_count: usize) -> Self {
-        RunState {
-            donors: Vec::new(),
-            evicted: Vec::new(),
-            sig_mark: vec![0; sig_count],
-            sig_gen: 0,
-            due: Vec::new(),
-            spec_due: Vec::new(),
-        }
     }
 }
 
@@ -209,24 +178,97 @@ impl LlmRt {
     }
 }
 
-/// Count containers destroyed while still flagged speculated: each one is
-/// a speculation that never served a request — a misprediction.
-fn note_evicted_speculations(evicted: &[(FunctionId, bool)], predict: &mut Option<&mut PredictRt>) {
-    if let Some(pr) = predict.as_deref_mut() {
-        pr.report.spec_mispredictions += evicted.iter().filter(|&&(_, spec)| spec).count() as u64;
-    }
+/// Per-run state of one [`Platform::run`]: the container id counter,
+/// reusable scratch buffers (sized once, cleared or generation-bumped per
+/// event, so the event loop stays allocation-free after warm-up) and the
+/// runtimes of the optional subsystems.
+struct RunCtx {
+    next_id: u64,
+    /// Tetris residency marks: signature `s` is resident on the current
+    /// node iff `sig_mark[s] == sig_gen`. Bumping the generation clears
+    /// the whole set in O(1) instead of rebuilding a `HashSet` per event.
+    sig_mark: Vec<u64>,
+    sig_gen: u64,
+    /// Function indices whose speculative transform is due at the current
+    /// arrival.
+    spec_due: Vec<usize>,
+    faults: Option<FaultCtx>,
+    predict: Option<PredictRt>,
+    llm: Option<LlmRt>,
 }
 
-/// A donor container is being retargeted to another function before any
-/// request used it: if it was speculated, that speculation missed.
-fn note_retarget(c: &mut Container, predict: &mut Option<&mut PredictRt>) {
-    if c.speculated {
-        c.speculated = false;
-        if let Some(pr) = predict.as_deref_mut() {
-            pr.report.spec_mispredictions += 1;
+impl RunCtx {
+    /// The fault layer's state; only called on paths a fault plan drives.
+    fn faults(&mut self) -> &mut FaultCtx {
+        self.faults.as_mut().expect("fault layer enabled")
+    }
+
+    /// Whether `node` is down at `now` (never, without a fault plan).
+    fn node_down(&self, node: usize, now: f64) -> bool {
+        self.faults
+            .as_ref()
+            .is_some_and(|fc| fc.down_until[node] > now)
+    }
+
+    /// Count `n` speculated containers destroyed or retargeted before any
+    /// request used them: each one is a misprediction.
+    fn mispredicted(&mut self, n: u64) {
+        if let Some(pr) = self.predict.as_mut() {
+            pr.report.spec_mispredictions += n;
+        }
+    }
+
+    /// Retarget donor `c` to `f` with a footprint of `need` bytes; an
+    /// unused speculation on it missed.
+    fn retarget(&mut self, c: &mut Container, f: FunctionId, need: u64) {
+        if c.speculated {
+            c.speculated = false;
+            self.mispredicted(1);
+        }
+        c.model = f;
+        c.mem_bytes = need;
+    }
+
+    /// Apply the request's fetch faults to a transport latency and count
+    /// what was injected. With `fx == RequestFaults::none()` this is the
+    /// bit-exact identity on `base`, so the fault-free path is
+    /// unperturbed.
+    fn faulted_transport(&mut self, base: f64, fx: &RequestFaults) -> f64 {
+        if base > 0.0 {
+            if let Some(fc) = self.faults.as_mut() {
+                if fx.is_straggler() {
+                    fc.stats.fetch_stragglers += 1;
+                }
+                fc.stats.fetch_retries += u64::from(fx.fetch_retries());
+            }
+        }
+        fx.transport_seconds(base)
+    }
+
+    /// Count the corrupt-checkpoint reloads a scratch load performed (the
+    /// caller applies [`RequestFaults::load_multiplier`] to the load
+    /// cost).
+    fn note_load_faults(&mut self, fx: &RequestFaults) {
+        if fx.load_reloads > 0 {
+            if let Some(fc) = self.faults.as_mut() {
+                fc.stats.load_corruptions += u64::from(fx.load_reloads);
+            }
         }
     }
 }
+
+/// One arrival being served.
+struct Request {
+    f: FunctionId,
+    arrival: f64,
+    /// Position in the trace: keys per-request fault and decode draws.
+    index: u64,
+    fx: RequestFaults,
+}
+
+/// A container obtained for a request: `(container index, init, load,
+/// kind)`.
+type Started = (usize, f64, f64, StartKind);
 
 /// Internal request record carrying the interned function id; converted
 /// to the public string-keyed [`RequestRecord`] once at the end of a run.
@@ -250,6 +292,8 @@ impl RawRecord {
 pub struct Platform {
     config: SimConfig,
     policy: Policy,
+    /// The container-lifecycle policy knobs of every node.
+    lifecycle: Lifecycle,
     repo: Arc<ModelRepository>,
     profile: PlatformProfile,
     /// Function-name symbol table; [`FunctionId`]s index `functions`.
@@ -344,6 +388,11 @@ impl Platform {
             }
         });
         Platform {
+            lifecycle: Lifecycle {
+                capacity: config.capacity_per_node,
+                node_bytes: config.memory.map(|m| m.node_bytes),
+                idle_threshold: config.idle_threshold,
+            },
             config,
             policy,
             repo,
@@ -474,146 +523,113 @@ impl Platform {
                 drained: StoreStats::default(),
             }
         });
-        let mut next_id: u64 = 0;
         let mut records: Vec<RequestRecord> = Vec::with_capacity(trace.len());
-        let mut state = RunState::new(self.sig_count);
-        let mut faults = self.config.faults.as_ref().map(|plan| {
-            plan.validate().expect("fault plan must be valid");
-            FaultCtx {
-                injector: FaultInjector::new(plan),
-                stats: FaultStats::default(),
-                max_over_cold: f64::NEG_INFINITY,
-                down_until: vec![f64::NEG_INFINITY; total_nodes],
-                abort: plan
-                    .spec
-                    .transform_abort_seconds
-                    .min((self.profile.cold_init() - self.profile.repurpose_overhead).max(0.0)),
-            }
-        });
-        let mut predict = self.config.predict.map(|pc| {
-            pc.validate().expect("predict config must be valid");
-            PredictRt {
-                predictor: Predictor::new(pc, self.functions.len()),
-                windows: vec![self.config.keep_alive; self.functions.len()],
-                report: PredictReport::default(),
-            }
-        });
-        let mut llm = self.config.llm.map(|lc| {
-            lc.validate().expect("llm config must be valid");
-            LlmRt {
-                engine: TokenEngine::new(lc),
-                pending: Vec::new(),
-                ttfts: Vec::with_capacity(trace.len()),
-                requests: 0,
-                joins: 0,
-                tokens: 0,
-                peak_batch: 0,
-            }
-        });
-        // Prewarming state: per-function arrival history and the pending
-        // proactive-transform schedule, kept time-ordered. NaN marks "no
-        // gap observed yet".
-        let mut history: Vec<(usize, f64)> = vec![(0, 0.0); self.functions.len()];
-        let mut mean_gap: Vec<f64> = vec![f64::NAN; self.functions.len()];
-        let mut schedule: std::collections::BTreeMap<(u64, FunctionId), f64> =
-            std::collections::BTreeMap::new();
-        let mut prewarms = 0usize;
-        let mut seq: u64 = 0;
-        for (req_index, (inv, &f)) in trace.invocations.iter().zip(&fids).enumerate() {
-            // Execute due proactive transforms before this arrival.
-            if self.config.prewarm.is_some() {
-                state.due.clear();
-                state.due.extend(
-                    schedule
-                        .iter()
-                        .filter(|(_, &t)| t <= inv.time)
-                        .map(|(&k, _)| k),
-                );
-                for i in 0..state.due.len() {
-                    let key = state.due[i];
-                    let at = schedule.remove(&key).expect("key present");
-                    let node_idx = placement[key.1.index()];
-                    // A down node cannot run a proactive transform.
-                    if faults
-                        .as_ref()
-                        .is_some_and(|fc| fc.down_until[node_idx] > at)
-                    {
-                        continue;
-                    }
-                    let mut p = predict.as_mut();
-                    if self.prewarm(&mut nodes[node_idx], &mut state, at, key.1, &mut p) {
-                        prewarms += 1;
-                    }
+        let mut ctx = RunCtx {
+            next_id: 0,
+            sig_mark: vec![0; self.sig_count],
+            sig_gen: 0,
+            spec_due: Vec::new(),
+            faults: self.config.faults.as_ref().map(|plan| {
+                plan.validate().expect("fault plan must be valid");
+                FaultCtx {
+                    injector: FaultInjector::new(plan),
+                    stats: FaultStats::default(),
+                    max_over_cold: f64::NEG_INFINITY,
+                    down_until: vec![f64::NEG_INFINITY; total_nodes],
+                    abort: plan
+                        .spec
+                        .transform_abort_seconds
+                        .min((self.profile.cold_init() - self.profile.repurpose_overhead).max(0.0)),
                 }
-            }
+            }),
+            predict: self.config.predict.map(|pc| {
+                pc.validate().expect("predict config must be valid");
+                PredictRt {
+                    predictor: Predictor::new(pc, self.functions.len()),
+                    windows: vec![self.config.keep_alive; self.functions.len()],
+                    report: PredictReport::default(),
+                }
+            }),
+            llm: self.config.llm.map(|lc| {
+                lc.validate().expect("llm config must be valid");
+                LlmRt {
+                    engine: TokenEngine::new(lc),
+                    pending: Vec::new(),
+                    ttfts: Vec::with_capacity(trace.len()),
+                    requests: 0,
+                    joins: 0,
+                    tokens: 0,
+                    peak_batch: 0,
+                }
+            }),
+        };
+        for (req_index, (inv, &f)) in trace.invocations.iter().zip(&fids).enumerate() {
             // Execute due speculative transforms before this arrival. The
             // arriving function itself is left to the reactive path (its
             // band stays armed), so speculation only ever runs *ahead* of
             // a predicted arrival.
-            if let Some(pr) = predict.as_mut() {
+            if let Some(pr) = ctx.predict.as_mut() {
                 if pr.predictor.config().speculation.is_some() {
-                    state.spec_due.clear();
-                    pr.predictor.due_speculations(
-                        inv.time,
-                        |c| c != f.index(),
-                        &mut state.spec_due,
-                    );
-                    for i in 0..state.spec_due.len() {
-                        let tf = FunctionId::from_index(state.spec_due[i]);
+                    let mut due = std::mem::take(&mut ctx.spec_due);
+                    due.clear();
+                    pr.predictor
+                        .due_speculations(inv.time, |c| c != f.index(), &mut due);
+                    for &c in &due {
+                        let tf = FunctionId::from_index(c);
                         let node_idx = placement[tf.index()];
                         // A down node cannot run a speculative transform.
-                        if faults
-                            .as_ref()
-                            .is_some_and(|fc| fc.down_until[node_idx] > inv.time)
-                        {
-                            pr.report.spec_skipped += 1;
+                        if ctx.node_down(node_idx, inv.time) {
+                            if let Some(pr) = ctx.predict.as_mut() {
+                                pr.report.spec_skipped += 1;
+                            }
                             continue;
                         }
-                        self.speculate(&mut nodes[node_idx], &mut state, pr, inv.time, tf);
+                        self.speculate(&mut nodes[node_idx], &mut ctx, inv.time, tf);
                     }
+                    ctx.spec_due = due;
                 }
             }
             let home = placement[f.index()];
             let mut node_idx = home;
             let mut start_at = inv.time;
             let mut fx = RequestFaults::none();
-            if let Some(fc) = faults.as_mut() {
+            if ctx.faults.is_some() {
                 // Apply scheduled node-level events that have become due.
                 // `due` borrows the injector, so copy the (rare) events out
-                // before mutating node state through `fc` below.
-                let due: Vec<_> = fc.injector.due(inv.time).to_vec();
+                // before mutating node state below.
+                let due: Vec<_> = ctx.faults().injector.due(inv.time).to_vec();
                 for ev in due {
                     if ev.node >= nodes.len() {
                         continue;
                     }
                     match ev.kind {
                         FaultKind::NodeCrash => {
-                            let mut p = predict.as_mut();
-                            Self::crash_node(&mut nodes[ev.node], fc, ev.node, ev.at, &mut p);
+                            Self::crash_node(&mut nodes[ev.node], &mut ctx, ev.node, ev.at);
                             if let Some(fl) = fleet.as_mut() {
-                                self.fleet_on_crash(fl, &nodes, &fc.down_until, ev.node, ev.at);
+                                let down = &ctx.faults().down_until;
+                                self.fleet_on_crash(fl, &nodes, down, ev.node, ev.at);
                             }
                         }
                         FaultKind::ContainerKill => {
-                            if let Some(victim) = lru_any(&nodes[ev.node]) {
-                                let mut p = predict.as_mut();
-                                self.kill_container(&mut nodes[ev.node], fc, victim, &mut p);
+                            if let Some(victim) = lru(&nodes[ev.node].containers, |_| true) {
+                                self.kill_container(&mut nodes[ev.node], &mut ctx, victim);
                             }
                         }
                     }
                 }
-                fx = fc.injector.for_request(req_index as u64);
+                fx = ctx.faults().injector.for_request(req_index as u64);
                 if fx.node_crash {
-                    let mut p = predict.as_mut();
-                    Self::crash_node(&mut nodes[home], fc, home, inv.time, &mut p);
+                    Self::crash_node(&mut nodes[home], &mut ctx, home, inv.time);
                     if let Some(fl) = fleet.as_mut() {
-                        self.fleet_on_crash(fl, &nodes, &fc.down_until, home, inv.time);
+                        let down = &ctx.faults().down_until;
+                        self.fleet_on_crash(fl, &nodes, down, home, inv.time);
                     }
                 }
                 if fleet.is_none() {
                     // Degraded-mode routing: skip down nodes; when the
                     // whole fleet is down, queue on the first node to
                     // recover.
+                    let fc = ctx.faults();
                     let routed = optimus_balance::failover_node(
                         home,
                         self.config.nodes,
@@ -641,32 +657,14 @@ impl Platform {
                 }
             }
             if let Some(fl) = fleet.as_mut() {
-                let mut p = predict.as_mut();
-                self.fleet_step(
-                    fl,
-                    &mut nodes,
-                    &mut state,
-                    faults.as_ref(),
-                    inv.time,
-                    f,
-                    home,
-                    &mut p,
-                );
+                self.fleet_step(fl, &mut nodes, &mut ctx, inv.time, f, home);
                 // Elastic routing: a saturated (or down) home spills onto
                 // the least-loaded warm node of the active fleet.
-                let home_down = faults
-                    .as_ref()
-                    .is_some_and(|fc| fc.down_until[home] > inv.time);
+                let home_down = ctx.node_down(home, inv.time);
                 let routed = optimus_balance::spill_node(
                     home,
                     nodes.len(),
-                    |n| {
-                        fl.active[n]
-                            && fl.ready_at[n] <= inv.time
-                            && !faults
-                                .as_ref()
-                                .is_some_and(|fc| fc.down_until[n] > inv.time)
-                    },
+                    |n| fl.active[n] && fl.ready_at[n] <= inv.time && !ctx.node_down(n, inv.time),
                     |n| {
                         nodes[n].containers.len() >= self.config.capacity_per_node
                             && !nodes[n].containers.iter().any(|c| c.busy_until <= inv.time)
@@ -678,7 +676,8 @@ impl Platform {
                     None => {
                         // Every usable node is down: queue on the first
                         // active node to recover (mirrors the static path).
-                        let fc = faults
+                        let fc = ctx
+                            .faults
                             .as_ref()
                             .expect("only faults can down the whole fleet");
                         let n = (0..nodes.len())
@@ -695,24 +694,18 @@ impl Platform {
                     }
                 }
                 if node_idx != home && home_down {
-                    if let Some(fc) = faults.as_mut() {
+                    if let Some(fc) = ctx.faults.as_mut() {
                         fc.stats.reroutes += 1;
                     }
                 }
             }
-            let raw = self.serve(
-                &mut nodes[node_idx],
-                &mut state,
-                &mut next_id,
-                inv.time,
-                start_at,
+            let req = Request {
                 f,
-                &fx,
-                faults.as_mut(),
-                predict.as_mut(),
-                llm.as_mut(),
-                req_index as u64,
-            );
+                arrival: inv.time,
+                index: req_index as u64,
+                fx,
+            };
+            let raw = self.serve(&mut nodes[node_idx], &mut ctx, &req, start_at);
             if let Some(fl) = fleet.as_mut() {
                 let done = raw.arrival + raw.service_time();
                 if done > fl.last_busy[node_idx] {
@@ -740,7 +733,7 @@ impl Platform {
             // finish — `arrival + wait + init + load` is already in the
             // record (init and load are zero for warm starts and joins),
             // so the patch needs no side table.
-            if let Some(lr) = llm.as_mut() {
+            if let Some(lr) = ctx.llm.as_mut() {
                 for p in lr.pending.drain(..) {
                     let idx = p.req as usize;
                     let r = &mut records[idx];
@@ -750,35 +743,13 @@ impl Platform {
             }
             // Feed the arrival predictor and refresh the function's
             // adaptive keep-alive window.
-            if let Some(pr) = predict.as_mut() {
+            if let Some(pr) = ctx.predict.as_mut() {
                 pr.predictor.observe(f.index(), inv.time);
                 pr.report.observed_arrivals += 1;
                 let w = pr.predictor.keep_alive(f.index(), self.config.keep_alive);
                 pr.windows[f.index()] = w;
                 pr.report.window_seconds_sum += w;
                 pr.report.window_samples += 1;
-            }
-            // Update the prewarm predictor and schedule the next prewarm.
-            if let Some(cfg) = self.config.prewarm {
-                let (count, last) = history[f.index()];
-                if count > 0 {
-                    let gap = inv.time - last;
-                    let m = &mut mean_gap[f.index()];
-                    *m = if m.is_nan() {
-                        gap
-                    } else {
-                        0.7 * *m + 0.3 * gap
-                    };
-                }
-                history[f.index()] = (count + 1, inv.time);
-                if count + 1 >= cfg.min_history {
-                    let m = mean_gap[f.index()];
-                    if !m.is_nan() {
-                        let at = (inv.time + m - cfg.lead).max(inv.time);
-                        seq += 1;
-                        schedule.insert((seq, f), at);
-                    }
-                }
             }
         }
         if let Some(sink) = &self.sink {
@@ -796,7 +767,7 @@ impl Platform {
             }
             agg
         });
-        let faults = faults.map(|fc| FaultReport {
+        let faults = ctx.faults.map(|fc| FaultReport {
             stats: fc.stats,
             max_over_cold: if fc.max_over_cold.is_finite() {
                 fc.max_over_cold
@@ -807,12 +778,11 @@ impl Platform {
         SimReport {
             system: self.policy.name().to_string(),
             records,
-            prewarms,
             store,
             faults,
             fleet: fleet.map(|fl| fl.report),
-            predict: predict.map(|pr| pr.report),
-            llm: llm.map(|lr| {
+            predict: ctx.predict.map(|pr| pr.report),
+            llm: ctx.llm.map(|lr| {
                 LlmReport::summarize(lr.requests, lr.joins, lr.tokens, lr.peak_batch, &lr.ttfts)
             }),
         }
@@ -821,23 +791,15 @@ impl Platform {
     /// Crash a node at time `at`: every container is lost, the store's
     /// volatile tiers are wiped, and the node stays down until
     /// `at + recovery_seconds`. Idempotent while the node is already down.
-    fn crash_node(
-        node: &mut NodeState,
-        fc: &mut FaultCtx,
-        node_idx: usize,
-        at: f64,
-        predict: &mut Option<&mut PredictRt>,
-    ) {
+    fn crash_node(node: &mut NodeState, ctx: &mut RunCtx, node_idx: usize, at: f64) {
+        let fc = ctx.faults();
         if fc.down_until[node_idx] > at {
             return;
         }
         fc.down_until[node_idx] = at + fc.injector.spec().recovery_seconds;
         fc.stats.node_crashes += 1;
         fc.stats.crash_container_evictions += node.containers.len() as u64;
-        if let Some(pr) = predict.as_deref_mut() {
-            pr.report.spec_mispredictions +=
-                node.containers.iter().filter(|c| c.speculated).count() as u64;
-        }
+        ctx.mispredicted(node.containers.iter().filter(|c| c.speculated).count() as u64);
         node.containers.clear();
         if let Some(store) = node.store.as_mut() {
             store.crash();
@@ -850,17 +812,14 @@ impl Platform {
     /// out when it fires). Every decision is a pure function of observed
     /// virtual-time state — no wall clock, no randomness — so runs stay
     /// byte-identical under any thread count.
-    #[allow(clippy::too_many_arguments)]
     fn fleet_step(
         &self,
         fl: &mut FleetRt,
         nodes: &mut [NodeState],
-        state: &mut RunState,
-        faults: Option<&FaultCtx>,
+        ctx: &mut RunCtx,
         now: f64,
         f: FunctionId,
         home: usize,
-        predict: &mut Option<&mut PredictRt>,
     ) {
         // 1. Activate joiners whose provisioning + warm transfer is done:
         //    provision the node store and place the wave's chunk set at
@@ -898,7 +857,7 @@ impl Platform {
             if !fl.active[n] || fl.ready_at[n] > now {
                 continue;
             }
-            self.evict_expired(&mut nodes[n], state, now, predict);
+            self.evict_expired(&mut nodes[n], ctx, now);
             if nodes[n].containers.is_empty() && fl.autoscaler.scale_in_ready(now, fl.last_busy[n])
             {
                 fl.active[n] = false;
@@ -930,7 +889,7 @@ impl Platform {
         // within the provisioning horizon count as demand, so the fleet
         // can grow *before* the queue builds. 0 with prediction off —
         // the reactive pressure bit-for-bit.
-        let predicted = predict.as_deref().map_or(0, |pr| {
+        let predicted = ctx.predict.as_ref().map_or(0, |pr| {
             pr.predictor
                 .predicted_arrivals(now, fl.autoscaler.config().provision_s)
         });
@@ -950,7 +909,7 @@ impl Platform {
         // 4. Claim the lowest-index free slots and plan their warm-up;
         //    the triggering function's model is the hot set to distribute.
         let joiners: Vec<usize> = (self.config.nodes..nodes.len())
-            .filter(|&n| !fl.active[n] && !faults.is_some_and(|fc| fc.down_until[n] > now))
+            .filter(|&n| !fl.active[n] && !ctx.node_down(n, now))
             .take(k)
             .collect();
         if joiners.is_empty() {
@@ -980,7 +939,7 @@ impl Platform {
                     .filter(|&(n, node)| {
                         fl.active[n]
                             && fl.ready_at[n] <= now
-                            && !faults.is_some_and(|fc| fc.down_until[n] > now)
+                            && !ctx.node_down(n, now)
                             && node
                                 .store
                                 .as_ref()
@@ -1116,26 +1075,11 @@ impl Platform {
 
     /// Kill one container (OOM-killer stand-in), releasing its model's
     /// chunk references back into the store.
-    fn kill_container(
-        &self,
-        node: &mut NodeState,
-        fc: &mut FaultCtx,
-        victim: usize,
-        predict: &mut Option<&mut PredictRt>,
-    ) {
-        let f = node.containers[victim].function;
-        if node.containers[victim].speculated {
-            if let Some(pr) = predict.as_deref_mut() {
-                pr.report.spec_mispredictions += 1;
-            }
-        }
-        node.containers.swap_remove(victim);
-        if let (Some(ss), Some(store)) = (&self.store, node.store.as_mut()) {
-            if let Some(chunks) = ss.model_chunks.get(f) {
-                store.release(chunks);
-            }
-        }
-        fc.stats.container_kills += 1;
+    fn kill_container(&self, node: &mut NodeState, ctx: &mut RunCtx, victim: usize) {
+        let dead = node.containers.swap_remove(victim);
+        ctx.mispredicted(u64::from(dead.speculated));
+        self.store_release(&mut node.store, dead.model);
+        ctx.faults().stats.container_kills += 1;
     }
 
     /// Transport seconds of the dst-model bytes missing on the node right
@@ -1150,13 +1094,10 @@ impl Platform {
             .map_or(0.0, |chunks| store.estimate(chunks).seconds)
     }
 
-    /// Release the chunk references of containers that stopped holding the
-    /// given functions' models (keep-alive expiry or slot eviction).
-    fn store_release(&self, node: &mut NodeState, evicted: &[(FunctionId, bool)]) {
-        let (Some(ss), Some(store)) = (&self.store, node.store.as_mut()) else {
-            return;
-        };
-        for &(f, _) in evicted {
+    /// Release the chunk references of a container that stopped holding
+    /// `f`'s model (keep-alive expiry, eviction or a kill).
+    fn store_release(&self, store: &mut Option<NodeStore>, f: FunctionId) {
+        if let (Some(ss), Some(store)) = (&self.store, store.as_mut()) {
             if let Some(chunks) = ss.model_chunks.get(f) {
                 store.release(chunks);
             }
@@ -1168,42 +1109,28 @@ impl Platform {
     /// adaptive window (bit-identical to the global constant until the
     /// predictor has history) and destroyed speculated containers count
     /// as mispredictions.
-    fn evict_expired(
-        &self,
-        node: &mut NodeState,
-        state: &mut RunState,
-        now: f64,
-        predict: &mut Option<&mut PredictRt>,
-    ) {
-        state.evicted.clear();
-        match predict.as_deref() {
-            Some(pr) => node.evict_expired_windows(now, &pr.windows, &mut state.evicted),
-            None => node.evict_expired(now, self.config.keep_alive, &mut state.evicted),
-        }
-        note_evicted_speculations(&state.evicted, predict);
-        self.store_release(node, &state.evicted);
+    fn evict_expired(&self, node: &mut NodeState, ctx: &mut RunCtx, now: f64) {
+        let windows = ctx.predict.as_ref().map(|pr| &pr.windows);
+        let window = |f: FunctionId| windows.map_or(self.config.keep_alive, |w| w[f.index()]);
+        let mut missed = 0;
+        expire(&mut node.containers, now, window, |c| {
+            missed += u64::from(c.speculated);
+            self.store_release(&mut node.store, c.model);
+        });
+        ctx.mispredicted(missed);
     }
 
-    /// [`NodeState::free_slot`] plus chunk release for every container it
+    /// [`Lifecycle::free_slot`] plus chunk release for every container it
     /// destroyed (even when it ultimately fails for lack of a free victim).
-    fn free_slot(
-        &self,
-        node: &mut NodeState,
-        state: &mut RunState,
-        needed: u64,
-        now: f64,
-        predict: &mut Option<&mut PredictRt>,
-    ) -> Option<()> {
-        state.evicted.clear();
-        let ok = node.free_slot(
-            self.config.capacity_per_node,
-            self.config.memory,
-            needed,
-            now,
-            &mut state.evicted,
-        );
-        note_evicted_speculations(&state.evicted, predict);
-        self.store_release(node, &state.evicted);
+    fn free_slot(&self, node: &mut NodeState, ctx: &mut RunCtx, need: u64, now: f64) -> Option<()> {
+        let mut missed = 0;
+        let ok = self
+            .lifecycle
+            .free_slot(&mut node.containers, need, now, |c| {
+                missed += u64::from(c.speculated);
+                self.store_release(&mut node.store, c.model);
+            });
+        ctx.mispredicted(missed);
         ok.then_some(())
     }
 
@@ -1275,112 +1202,45 @@ impl Platform {
         }
     }
 
-    /// Proactively transform an idle donor into `f` at time `at` so the
-    /// predicted next request warm-starts. Returns whether a transformation
-    /// was performed. Only donors past the idle threshold are used, and the
-    /// safeguard still applies — prewarming never loads from scratch
-    /// speculatively.
-    fn prewarm(
-        &self,
-        node: &mut NodeState,
-        state: &mut RunState,
-        at: f64,
-        f: FunctionId,
-        predict: &mut Option<&mut PredictRt>,
-    ) -> bool {
-        self.evict_expired(node, state, at, predict);
-        if node.warm_free(f, at).is_some() {
-            return false; // already warm
-        }
-        let need = self.footprint(f);
-        state.donors.clear();
-        for (i, c) in node.containers.iter().enumerate() {
-            if c.function != f && c.state(at, self.config.idle_threshold) == ContainerState::Idle {
-                state.donors.push((i, c.function));
-            }
-        }
-        state
-            .donors
-            .retain(|&(ci, _)| node.repurpose_fits(ci, need, self.config.memory));
-        let choice = choose_source_by_id(
-            &self.repo,
-            state
-                .donors
-                .iter()
-                .map(|&(ci, src)| (ci, self.functions[src.index()].model_id)),
-            self.functions[f.index()].model_id,
-        );
-        if let Some(choice) = choice {
-            let ci = choice.container;
-            let src = node.containers[ci].function;
-            let transport = self.store_repurpose(node, src, f, true);
-            let c = &mut node.containers[ci];
-            note_retarget(c, predict);
-            c.function = f;
-            c.mem_bytes = need;
-            // The container is busy while the proactive transform runs;
-            // last_routed stays untouched so the container still reads as
-            // idle-donatable if the prediction was wrong.
-            c.busy_until = at + self.profile.repurpose_overhead + choice.latency + transport;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Execute one speculative transformation for predicted-hot `f` at
     /// time `at`: convert the cheapest idle donor toward it, but only
     /// when the cost-model gate admits the candidate — the speculation
     /// must be cheaper than the cold start it would replace (the hard
     /// budget bounding any misprediction), and its confidence-weighted
     /// expected saving must beat the expected misprediction waste.
-    fn speculate(
-        &self,
-        node: &mut NodeState,
-        state: &mut RunState,
-        pr: &mut PredictRt,
-        at: f64,
-        f: FunctionId,
-    ) {
-        let cfg = *pr.predictor.config();
-        let Some(spec) = cfg.speculation else { return };
+    fn speculate(&self, node: &mut NodeState, ctx: &mut RunCtx, at: f64, f: FunctionId) {
+        let Some(pr) = ctx.predict.as_mut() else {
+            return;
+        };
+        let Some(spec) = pr.predictor.config().speculation else {
+            return;
+        };
         let Some(forecast) = pr.predictor.forecast(f.index()) else {
             pr.report.spec_skipped += 1;
             return;
         };
-        {
-            let mut p = Some(&mut *pr);
-            self.evict_expired(node, state, at, &mut p);
-        }
-        if node.warm_free(f, at).is_some() {
+        self.evict_expired(node, ctx, at);
+        let pr = ctx
+            .predict
+            .as_mut()
+            .expect("speculation runs with prediction on");
+        if Lifecycle::warm(&node.containers, f, at).is_some() {
             pr.report.spec_skipped += 1; // already warm: nothing to gain
             return;
         }
         let need = self.footprint(f);
-        state.donors.clear();
-        for (i, c) in node.containers.iter().enumerate() {
-            if c.function != f && c.state(at, self.config.idle_threshold) == ContainerState::Idle {
-                state.donors.push((i, c.function));
-            }
-        }
-        state
-            .donors
-            .retain(|&(ci, _)| node.repurpose_fits(ci, need, self.config.memory));
         let data = &self.functions[f.index()];
-        let choice = choose_source_by_id(
-            &self.repo,
-            state
-                .donors
-                .iter()
-                .map(|&(ci, src)| (ci, self.functions[src.index()].model_id)),
-            data.model_id,
-        );
+        let choice =
+            self.lifecycle
+                .speculation_source(&self.repo, &node.containers, f, need, at, |g| {
+                    self.functions[g.index()].model_id
+                });
         let Some(choice) = choice else {
             pr.report.spec_skipped += 1; // no idle donor with a plan
             return;
         };
         let ci = choice.container;
-        let src = node.containers[ci].function;
+        let src = node.containers[ci].model;
         let candidate = SpecCandidate {
             spec_cost: self.profile.repurpose_overhead
                 + choice.latency
@@ -1393,19 +1253,19 @@ impl Platform {
             return;
         }
         let transport = self.store_repurpose(node, src, f, true);
+        // A donor that was itself an unused speculation for another
+        // function: that earlier guess missed.
         let c = &mut node.containers[ci];
-        if c.speculated {
-            // The donor was itself an unused speculation for another
-            // function: that earlier guess missed.
-            pr.report.spec_mispredictions += 1;
-        }
-        c.function = f;
-        c.mem_bytes = need;
+        ctx.retarget(c, f, need);
         // Busy while the speculative transform runs; last_routed stays
         // untouched so a wrong guess leaves the container donatable.
         let cost = self.profile.repurpose_overhead + choice.latency + transport;
         c.busy_until = at + cost;
         c.speculated = true;
+        let pr = ctx
+            .predict
+            .as_mut()
+            .expect("speculation runs with prediction on");
         pr.report.speculations += 1;
         pr.report.spec_cost_seconds += cost;
         // Executed cost vs. the cold start replaced: the gate guarantees
@@ -1426,53 +1286,44 @@ impl Platform {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn serve(
         &self,
         node: &mut NodeState,
-        state: &mut RunState,
-        next_id: &mut u64,
-        arrival: f64,
+        ctx: &mut RunCtx,
+        req: &Request,
         start_at: f64,
-        f: FunctionId,
-        fx: &RequestFaults,
-        mut faults: Option<&mut FaultCtx>,
-        mut predict: Option<&mut PredictRt>,
-        mut llm: Option<&mut LlmRt>,
-        req: u64,
     ) -> RawRecord {
+        let (f, arrival, fx) = (req.f, req.arrival, &req.fx);
         let mut now = start_at.max(arrival);
-        self.evict_expired(node, state, now, &mut predict);
+        self.evict_expired(node, ctx, now);
         // Injected container kill on the routed node: one warm container
         // dies (chunks released) just before the request is served.
-        if fx.container_kill && !node.containers.is_empty() {
-            if let Some(fc) = faults.as_deref_mut() {
-                let victim = fx.victim_index(node.containers.len());
-                self.kill_container(node, fc, victim, &mut predict);
-            }
+        if fx.container_kill && !node.containers.is_empty() && ctx.faults.is_some() {
+            let victim = fx.victim_index(node.containers.len());
+            self.kill_container(node, ctx, victim);
         }
         let compute = self.functions[f.index()].compute_cost;
         loop {
             // 1. Warm start: a free container already holds the model.
-            if let Some(ci) = node.warm_free(f, now) {
+            if let Some(ci) = Lifecycle::warm(&node.containers, f, now) {
                 let c = &mut node.containers[ci];
                 if c.speculated {
                     // A speculative transform paid off: this request warm-
                     // starts instead of paying init + load.
                     c.speculated = false;
-                    if let Some(pr) = predict.as_deref_mut() {
+                    if let Some(pr) = ctx.predict.as_mut() {
                         let data = &self.functions[f.index()];
                         pr.report.spec_hits += 1;
                         pr.report.spec_saved_seconds += self.profile.cold_init() + data.load_cost;
                     }
                 }
-                if let Some(lr) = llm.as_deref_mut() {
+                if let Some(lr) = ctx.llm.as_mut() {
                     // Token-level serving: the warm container starts a
                     // fresh decode loop immediately (no init, no load).
                     let id = c.id;
-                    let n = lr.engine.config().decode_tokens(req);
+                    let n = lr.engine.config().decode_tokens(req.index);
                     let bytes = self.functions[f.index()].model_bytes;
-                    let adm = lr.engine.begin(id, bytes, now, req, n);
+                    let adm = lr.engine.begin(id, bytes, now, req.index, n);
                     lr.note(&adm, arrival, n, false);
                     let c = &mut node.containers[ci];
                     c.route(now, adm.batch_busy_until);
@@ -1504,11 +1355,11 @@ impl Platform {
             // sweep instead of waiting for the loop to drain or paying a
             // cold start. Deterministic pick: the smallest live batch,
             // ties to the lowest container index.
-            if let Some(lr) = llm.as_deref_mut() {
+            if let Some(lr) = ctx.llm.as_mut() {
                 let mut best: Option<(usize, usize)> = None;
                 for ci in 0..node.containers.len() {
                     let c = node.containers[ci];
-                    if c.function == f {
+                    if c.model == f {
                         if let Some(b) = lr.engine.joinable(c.id, now) {
                             if best.is_none_or(|(bb, _)| b < bb) {
                                 best = Some((b, ci));
@@ -1518,8 +1369,8 @@ impl Platform {
                 }
                 if let Some((_, ci)) = best {
                     let id = node.containers[ci].id;
-                    let n = lr.engine.config().decode_tokens(req);
-                    let (adm, patches) = lr.engine.join(id, now, req, n);
+                    let n = lr.engine.config().decode_tokens(req.index);
+                    let (adm, patches) = lr.engine.join(id, now, req.index, n);
                     lr.pending.extend(patches);
                     lr.note(&adm, arrival, n, true);
                     let c = &mut node.containers[ci];
@@ -1538,20 +1389,18 @@ impl Platform {
             // Snapshot the cold-start transport equivalent *before* the
             // policy mutates store state, so the safeguard audit below
             // compares against the same store the request actually saw.
-            let cold_est = if faults.is_some() && matches!(self.policy, Policy::Optimus) {
+            let cold_est = if ctx.faults.is_some() && matches!(self.policy, Policy::Optimus) {
                 self.store_estimate(node, f)
             } else {
                 0.0
             };
             // 2. Obtain a container by the policy.
-            if let Some((ci, init, load, kind)) =
-                self.try_start(node, state, next_id, now, f, fx, &mut faults, &mut predict)
-            {
+            if let Some((ci, init, load, kind)) = self.try_start(node, ctx, req, now) {
                 // Safeguard-under-failure audit (§6.3): the startup this
                 // request actually paid must never exceed what a cold
                 // start of the same request would have paid under the
                 // same injected faults.
-                if let Some(fc) = faults.as_deref_mut() {
+                if let Some(fc) = ctx.faults.as_mut() {
                     if matches!(self.policy, Policy::Optimus) {
                         let data = &self.functions[f.index()];
                         let cold_equiv = self.profile.cold_init()
@@ -1560,16 +1409,16 @@ impl Platform {
                         fc.max_over_cold = fc.max_over_cold.max(init + load - cold_equiv);
                     }
                 }
-                if let Some(lr) = llm.as_deref_mut() {
+                if let Some(lr) = ctx.llm.as_mut() {
                     // The decode loop starts once init + load finish. A
                     // later arrival may still join its first iteration —
                     // `begin` registers the batch at the future start, so
                     // joiners during the load share the prefill sweep.
                     let exec_start = now + init + load;
                     let id = node.containers[ci].id;
-                    let n = lr.engine.config().decode_tokens(req);
+                    let n = lr.engine.config().decode_tokens(req.index);
                     let bytes = self.functions[f.index()].model_bytes;
-                    let adm = lr.engine.begin(id, bytes, exec_start, req, n);
+                    let adm = lr.engine.begin(id, bytes, exec_start, req.index, n);
                     lr.note(&adm, arrival, n, false);
                     node.containers[ci].busy_until = adm.batch_busy_until;
                     return RawRecord {
@@ -1607,107 +1456,61 @@ impl Platform {
         }
     }
 
-    /// Try to obtain a container for `f` at `now`. On success the
-    /// container exists in `node` with `function == f` and
-    /// `last_routed == now`; returns `(container index, init, load, kind)`.
+    /// Try to obtain a container for the request at `now`. On success the
+    /// container exists in `node` with `model == f` and
+    /// `last_routed == now`.
     ///
-    /// Fault math is applied unconditionally through `fx`: with no faults
-    /// `fx` is the identity element ([`RequestFaults::none`]), whose
+    /// Fault math is applied unconditionally through `req.fx`: with no
+    /// faults it is the identity element ([`RequestFaults::none`]), whose
     /// `×1.0`/`+0.0` arithmetic is bit-exact, so fault-free runs stay
     /// byte-identical to a build without the fault layer.
-    #[allow(clippy::too_many_arguments)]
     fn try_start(
         &self,
         node: &mut NodeState,
-        state: &mut RunState,
-        next_id: &mut u64,
+        ctx: &mut RunCtx,
+        req: &Request,
         now: f64,
-        f: FunctionId,
-        fx: &RequestFaults,
-        faults: &mut Option<&mut FaultCtx>,
-        predict: &mut Option<&mut PredictRt>,
-    ) -> Option<(usize, f64, f64, StartKind)> {
+    ) -> Option<Started> {
+        let (f, fx) = (req.f, &req.fx);
         let data = &self.functions[f.index()];
-        let idle_thr = self.config.idle_threshold;
+        let need = self.footprint(f);
         match self.policy {
-            Policy::OpenWhisk => {
-                let need = self.footprint(f);
-                self.free_slot(node, state, need, now, predict)?;
-                let ci = node.spawn(next_id, f, now, need);
-                let transport = faulted_transport(self.store_admit(node, f), fx, faults);
-                note_load_faults(fx, faults);
-                Some((
-                    ci,
-                    self.profile.cold_init(),
-                    data.load_cost * fx.load_multiplier() + transport,
-                    StartKind::Cold,
-                ))
-            }
+            Policy::OpenWhisk => self.cold_start(node, ctx, req, now),
             Policy::Pagurus => {
                 // Prefer an idle donor of another function: skip sandbox
                 // and runtime init, reload the model from scratch. "Help
                 // rather than recycle": when the node is full, the
                 // container a cold start would evict is re-purposed
                 // directly instead of being destroyed.
-                let need = self.footprint(f);
-                let donor = node
-                    .idle_donor(f, now, idle_thr)
-                    .or_else(|| {
-                        node.eviction_victim(
-                            self.config.capacity_per_node,
-                            self.config.memory,
-                            need,
-                            now,
-                        )
-                    })
-                    .filter(|&ci| node.repurpose_fits(ci, need, self.config.memory));
-                if let Some(ci) = donor {
-                    let src = node.containers[ci].function;
-                    let transport =
-                        faulted_transport(self.store_repurpose(node, src, f, false), fx, faults);
-                    note_load_faults(fx, faults);
-                    let c = &mut node.containers[ci];
-                    note_retarget(c, predict);
-                    c.function = f;
-                    c.mem_bytes = need;
-                    c.route(now, now); // busy window set by caller
-                    return Some((
-                        ci,
-                        self.profile.repurpose_overhead,
-                        data.load_cost * fx.load_multiplier() + transport,
-                        StartKind::Transform,
-                    ));
+                let cs = &node.containers;
+                let donor = self
+                    .lifecycle
+                    .idle_donor(cs, f, now)
+                    .or_else(|| self.lifecycle.eviction_victim(cs, need, now))
+                    .filter(|&ci| self.lifecycle.repurpose_fits(cs, ci, need));
+                match donor {
+                    Some(ci) => self.repurpose(node, ctx, req, now, ci, 0.0),
+                    None => self.cold_start(node, ctx, req, now),
                 }
-                self.free_slot(node, state, need, now, predict)?;
-                let ci = node.spawn(next_id, f, now, need);
-                let transport = faulted_transport(self.store_admit(node, f), fx, faults);
-                note_load_faults(fx, faults);
-                Some((
-                    ci,
-                    self.profile.cold_init(),
-                    data.load_cost * fx.load_multiplier() + transport,
-                    StartKind::Cold,
-                ))
             }
             Policy::Tetris => {
                 // Tensor sharing: resident ops on the node are mapped, the
                 // rest load from scratch; the runtime address space maps
                 // from any existing container. Residency is marked before
                 // eviction, matching "maps from any existing container".
-                let need = self.footprint(f);
                 let had_containers = !node.containers.is_empty();
-                state.sig_gen += 1;
-                let gen = state.sig_gen;
+                ctx.sig_gen += 1;
+                let gen = ctx.sig_gen;
                 for c in &node.containers {
-                    for &(sig, _) in &self.functions[c.function.index()].op_sigs {
-                        state.sig_mark[sig as usize] = gen;
+                    for &(sig, _) in &self.functions[c.model.index()].op_sigs {
+                        ctx.sig_mark[sig as usize] = gen;
                     }
                 }
-                self.free_slot(node, state, need, now, predict)?;
+                self.free_slot(node, ctx, need, now)?;
                 let mut load = data.deserialize_cost;
                 let mut shared = 0usize;
                 for &(sig, cost) in &data.op_sigs {
-                    if state.sig_mark[sig as usize] == gen {
+                    if ctx.sig_mark[sig as usize] == gen {
                         load += self.config.tetris_map_per_op;
                         shared += 1;
                     } else {
@@ -1726,161 +1529,101 @@ impl Platform {
                 } else {
                     (self.profile.cold_init(), StartKind::Cold)
                 };
-                let ci = node.spawn(next_id, f, now, need);
-                let transport = faulted_transport(self.store_admit(node, f), fx, faults);
-                note_load_faults(fx, faults);
+                let ci = node.spawn(&mut ctx.next_id, f, now, need);
+                let transport = ctx.faulted_transport(self.store_admit(node, f), fx);
+                ctx.note_load_faults(fx);
                 Some((ci, init, load * fx.load_multiplier() + transport, kind))
             }
             Policy::Optimus => {
-                // Cheapest idle donor via the cached plans + safeguard.
-                // When the node is full, the container a cold start would
-                // evict is also a donor candidate ("help rather than
-                // recycle"): transforming it strictly dominates destroying
-                // it and paying init + scratch load.
-                state.donors.clear();
-                for (i, c) in node.containers.iter().enumerate() {
-                    if c.function != f && c.state(now, idle_thr) == ContainerState::Idle {
-                        state.donors.push((i, c.function));
-                    }
-                }
-                let need = self.footprint(f);
-                if state.donors.is_empty() {
-                    if let Some(ci) = node.eviction_victim(
-                        self.config.capacity_per_node,
-                        self.config.memory,
-                        need,
-                        now,
-                    ) {
-                        state.donors.push((ci, node.containers[ci].function));
-                    }
-                }
-                state
-                    .donors
-                    .retain(|&(ci, _)| node.repurpose_fits(ci, need, self.config.memory));
-                let choice = choose_source_by_id(
-                    &self.repo,
-                    state
-                        .donors
-                        .iter()
-                        .map(|&(ci, src)| (ci, self.functions[src.index()].model_id)),
-                    data.model_id,
-                );
-                if let Some(choice) = choice {
-                    let ci = choice.container;
-                    let src = node.containers[ci].function;
+                // Cheapest donor via the cached plans + safeguard (the
+                // shared lifecycle policy).
+                let start = self
+                    .lifecycle
+                    .start(&self.repo, &node.containers, f, need, now, |g| {
+                        self.functions[g.index()].model_id
+                    });
+                match start {
                     // Injected mid-flight transform failure: the safeguard
                     // escalates to a from-scratch load into the same
                     // donor, paying the (clamped) aborted-work cost on top
                     // — never more than a cold start would have.
-                    if fx.transform_failure {
-                        let abort = faults.as_deref().map_or(0.0, |fc| fc.abort);
-                        if let Some(fc) = faults.as_deref_mut() {
-                            fc.stats.transform_failures += 1;
-                            fc.stats.safeguard_escalations += 1;
-                        }
-                        let transport = faulted_transport(
-                            self.store_repurpose(node, src, f, false),
-                            fx,
-                            faults,
-                        );
-                        note_load_faults(fx, faults);
+                    Start::Transform(choice) if fx.transform_failure => {
+                        let fc = ctx.faults();
+                        fc.stats.transform_failures += 1;
+                        fc.stats.safeguard_escalations += 1;
+                        let abort = fc.abort;
+                        self.repurpose(node, ctx, req, now, choice.container, abort)
+                    }
+                    Start::Transform(choice) => {
+                        let ci = choice.container;
+                        let src = node.containers[ci].model;
+                        let transport =
+                            ctx.faulted_transport(self.store_repurpose(node, src, f, true), fx);
                         let c = &mut node.containers[ci];
-                        note_retarget(c, predict);
-                        c.function = f;
-                        c.mem_bytes = need;
-                        c.route(now, now);
-                        return Some((
+                        ctx.retarget(c, f, need);
+                        c.route(now, now); // busy window set by caller
+                        Some((
                             ci,
                             self.profile.repurpose_overhead,
-                            abort + data.load_cost * fx.load_multiplier() + transport,
+                            choice.latency + transport,
                             StartKind::Transform,
-                        ));
+                        ))
                     }
-                    let transport =
-                        faulted_transport(self.store_repurpose(node, src, f, true), fx, faults);
-                    let c = &mut node.containers[ci];
-                    note_retarget(c, predict);
-                    c.function = f;
-                    c.mem_bytes = need;
-                    c.route(now, now);
-                    return Some((
-                        ci,
-                        self.profile.repurpose_overhead,
-                        choice.latency + transport,
-                        StartKind::Transform,
-                    ));
+                    Start::Repurpose(ci) => self.repurpose(node, ctx, req, now, ci, 0.0),
+                    Start::Cold => self.cold_start(node, ctx, req, now),
                 }
-                // Safeguard path: an idle donor exists but no plan beats a
-                // scratch load — re-purpose Pagurus-style.
-                if let Some(&(ci, src)) = state.donors.first() {
-                    let transport =
-                        faulted_transport(self.store_repurpose(node, src, f, false), fx, faults);
-                    note_load_faults(fx, faults);
-                    let c = &mut node.containers[ci];
-                    note_retarget(c, predict);
-                    c.function = f;
-                    c.mem_bytes = need;
-                    c.route(now, now);
-                    return Some((
-                        ci,
-                        self.profile.repurpose_overhead,
-                        data.load_cost * fx.load_multiplier() + transport,
-                        StartKind::Transform,
-                    ));
-                }
-                self.free_slot(node, state, need, now, predict)?;
-                let ci = node.spawn(next_id, f, now, need);
-                let transport = faulted_transport(self.store_admit(node, f), fx, faults);
-                note_load_faults(fx, faults);
-                Some((
-                    ci,
-                    self.profile.cold_init(),
-                    data.load_cost * fx.load_multiplier() + transport,
-                    StartKind::Cold,
-                ))
             }
         }
     }
-}
 
-/// Apply the request's fetch faults to a transport latency and count what
-/// was injected. With `fx == RequestFaults::none()` this is the bit-exact
-/// identity on `base`, so the fault-free path is unperturbed.
-fn faulted_transport(base: f64, fx: &RequestFaults, faults: &mut Option<&mut FaultCtx>) -> f64 {
-    if base > 0.0 {
-        if let Some(fc) = faults.as_deref_mut() {
-            if fx.is_straggler() {
-                fc.stats.fetch_stragglers += 1;
-            }
-            fc.stats.fetch_retries += u64::from(fx.fetch_retries());
-        }
+    /// Reload donor `ci` with the request's model from scratch (Pagurus's
+    /// repurpose, Optimus's safeguard), skipping sandbox and runtime init;
+    /// `abort` is transform work already wasted on it.
+    fn repurpose(
+        &self,
+        node: &mut NodeState,
+        ctx: &mut RunCtx,
+        req: &Request,
+        now: f64,
+        ci: usize,
+        abort: f64,
+    ) -> Option<Started> {
+        let (f, fx) = (req.f, &req.fx);
+        let src = node.containers[ci].model;
+        let transport = ctx.faulted_transport(self.store_repurpose(node, src, f, false), fx);
+        ctx.note_load_faults(fx);
+        let c = &mut node.containers[ci];
+        ctx.retarget(c, f, self.footprint(f));
+        c.route(now, now); // busy window set by caller
+        Some((
+            ci,
+            self.profile.repurpose_overhead,
+            abort + self.functions[f.index()].load_cost * fx.load_multiplier() + transport,
+            StartKind::Transform,
+        ))
     }
-    fx.transport_seconds(base)
-}
 
-/// Count the corrupt-checkpoint reloads a scratch load performed (the
-/// caller applies [`RequestFaults::load_multiplier`] to the load cost).
-fn note_load_faults(fx: &RequestFaults, faults: &mut Option<&mut FaultCtx>) {
-    if fx.load_reloads > 0 {
-        if let Some(fc) = faults.as_deref_mut() {
-            fc.stats.load_corruptions += u64::from(fx.load_reloads);
-        }
+    /// Cold start: free a slot, then load the model into a new container.
+    fn cold_start(
+        &self,
+        node: &mut NodeState,
+        ctx: &mut RunCtx,
+        req: &Request,
+        now: f64,
+    ) -> Option<Started> {
+        let (f, fx) = (req.f, &req.fx);
+        let need = self.footprint(f);
+        self.free_slot(node, ctx, need, now)?;
+        let ci = node.spawn(&mut ctx.next_id, f, now, need);
+        let transport = ctx.faulted_transport(self.store_admit(node, f), fx);
+        ctx.note_load_faults(fx);
+        Some((
+            ci,
+            self.profile.cold_init(),
+            self.functions[f.index()].load_cost * fx.load_multiplier() + transport,
+            StartKind::Cold,
+        ))
     }
-}
-
-/// Least-recently-routed container of a node, busy or not — the
-/// deterministic victim of a scheduled container kill.
-fn lru_any(node: &NodeState) -> Option<usize> {
-    node.containers
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| {
-            a.last_routed
-                .partial_cmp(&b.last_routed)
-                .expect("finite")
-                .then(a.id.cmp(&b.id))
-        })
-        .map(|(i, _)| i)
 }
 
 /// A simulated request as the shared telemetry schema.
@@ -1919,154 +1662,6 @@ struct NodeState {
 }
 
 impl NodeState {
-    /// Drop keep-alive-expired containers; pushes `(function, speculated)`
-    /// of each destroyed container into `evicted` so the caller can
-    /// release chunks and account mispredictions.
-    fn evict_expired(&mut self, now: f64, keep_alive: f64, evicted: &mut Vec<(FunctionId, bool)>) {
-        self.containers.retain(|c| {
-            if c.expired(now, keep_alive) {
-                evicted.push((c.function, c.speculated));
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    /// Like [`NodeState::evict_expired`] but with a per-function
-    /// keep-alive window table (the arrival predictor's adaptive
-    /// windows).
-    fn evict_expired_windows(
-        &mut self,
-        now: f64,
-        windows: &[f64],
-        evicted: &mut Vec<(FunctionId, bool)>,
-    ) {
-        self.containers.retain(|c| {
-            if c.expired(now, windows[c.function.index()]) {
-                evicted.push((c.function, c.speculated));
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    /// Index of a free container already holding `f`, preferring the most
-    /// recently used (deterministic tie-break by id).
-    fn warm_free(&self, f: FunctionId, now: f64) -> Option<usize> {
-        self.containers
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.function == f && c.busy_until <= now)
-            .max_by(|(_, a), (_, b)| {
-                a.last_routed
-                    .partial_cmp(&b.last_routed)
-                    .expect("finite")
-                    .then(a.id.cmp(&b.id))
-            })
-            .map(|(i, _)| i)
-    }
-
-    /// Longest-idle donor container of another function.
-    fn idle_donor(&self, f: FunctionId, now: f64, idle_threshold: f64) -> Option<usize> {
-        self.containers
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| {
-                c.function != f && c.state(now, idle_threshold) == ContainerState::Idle
-            })
-            .max_by(|(_, a), (_, b)| {
-                (now - a.last_routed)
-                    .partial_cmp(&(now - b.last_routed))
-                    .expect("finite")
-                    .then(b.id.cmp(&a.id))
-            })
-            .map(|(i, _)| i)
-    }
-
-    /// Total container memory currently resident on this node.
-    fn mem_used(&self) -> u64 {
-        self.containers.iter().map(|c| c.mem_bytes).sum()
-    }
-
-    /// Whether a new container of `needed` bytes fits within both the slot
-    /// count and the optional memory budget.
-    fn fits(&self, capacity: usize, memory: Option<MemoryLimit>, needed: u64) -> bool {
-        if self.containers.len() >= capacity {
-            return false;
-        }
-        match memory {
-            Some(m) => self.mem_used() + needed <= m.node_bytes,
-            None => true,
-        }
-    }
-
-    /// Whether re-purposing container `ci` for a model of `needed` bytes
-    /// stays within the memory budget (§6: "container resources may be
-    /// insufficient" — a small container cannot always host a large model).
-    fn repurpose_fits(&self, ci: usize, needed: u64, memory: Option<MemoryLimit>) -> bool {
-        match memory {
-            Some(m) => self.mem_used() - self.containers[ci].mem_bytes + needed <= m.node_bytes,
-            None => true,
-        }
-    }
-
-    fn lru_free(&self, now: f64) -> Option<usize> {
-        self.containers
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.busy_until <= now)
-            .min_by(|(_, a), (_, b)| {
-                a.last_routed
-                    .partial_cmp(&b.last_routed)
-                    .expect("finite")
-                    .then(a.id.cmp(&b.id))
-            })
-            .map(|(i, _)| i)
-    }
-
-    /// The container a cold start would evict: the least-recently-routed
-    /// non-busy container, but only when the node cannot fit a new
-    /// container. Donor candidate for the "help rather than recycle" path.
-    fn eviction_victim(
-        &self,
-        capacity: usize,
-        memory: Option<MemoryLimit>,
-        needed: u64,
-        now: f64,
-    ) -> Option<usize> {
-        if self.fits(capacity, memory, needed) {
-            return None;
-        }
-        self.lru_free(now)
-    }
-
-    /// Ensure a new container of `needed` bytes fits: free capacity, or
-    /// evict least-recently-routed non-busy containers until it does.
-    /// Returns whether it now fits (false when the remaining containers
-    /// are all busy), and pushes the function of every container destroyed
-    /// into `evicted` — even on failure, so the caller can release their
-    /// chunks.
-    fn free_slot(
-        &mut self,
-        capacity: usize,
-        memory: Option<MemoryLimit>,
-        needed: u64,
-        now: f64,
-        evicted: &mut Vec<(FunctionId, bool)>,
-    ) -> bool {
-        while !self.fits(capacity, memory, needed) {
-            let Some(victim) = self.lru_free(now) else {
-                return false;
-            };
-            let c = &self.containers[victim];
-            evicted.push((c.function, c.speculated));
-            self.containers.swap_remove(victim);
-        }
-        true
-    }
-
     /// Create a new container for `f` with the given memory footprint;
     /// returns its index. `busy_until` is patched by the caller once
     /// init+load+compute are known.

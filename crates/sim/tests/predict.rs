@@ -218,3 +218,101 @@ fn predictive_runs_are_deterministic() {
     );
     assert!(serde_json::to_string(&a).unwrap().contains("\"predict\""));
 }
+
+/// A trace of explicit `(time, function)` arrivals.
+fn arrivals_trace(arrivals: &[(f64, &str)], duration: f64) -> Trace {
+    Trace::new(
+        duration,
+        arrivals
+            .iter()
+            .map(|&(time, f)| Invocation {
+                time,
+                function: f.to_string(),
+            })
+            .collect(),
+    )
+}
+
+fn family_repo() -> Arc<ModelRepository> {
+    repo_with(vec![
+        optimus_zoo::vgg::vgg16(),
+        optimus_zoo::vgg::vgg19(),
+        optimus_zoo::resnet::resnet18(),
+    ])
+}
+
+fn four_slots(predict: Option<PredictConfig>) -> SimConfig {
+    SimConfig {
+        capacity_per_node: 4,
+        ..config(predict)
+    }
+}
+
+#[test]
+fn prediction_needs_history_before_acting() {
+    // (`PredictConfig::default()` speculates.) Two alternating functions,
+    // three arrivals each: below `min_history`
+    // the predictor forecasts nothing, so it neither speculates nor moves
+    // a keep-alive window, and every request matches the reactive run.
+    let mut arrivals = Vec::new();
+    for i in 0..3 {
+        arrivals.push((300.0 * (i + 1) as f64, "vgg16"));
+        arrivals.push((300.0 * (i + 1) as f64 + 100.0, "vgg19"));
+    }
+    let trace = arrivals_trace(&arrivals, 2_000.0);
+    let repo = family_repo();
+    let cfg = PredictConfig {
+        min_history: 10,
+        ..PredictConfig::default()
+    };
+    let base = Platform::new(four_slots(None), Policy::Optimus, repo.clone()).run(&trace);
+    let pred = Platform::new(four_slots(Some(cfg)), Policy::Optimus, repo).run(&trace);
+    let pr = pred.predict.as_ref().expect("predict layer enabled");
+    assert_eq!(
+        pr.speculations, 0,
+        "insufficient history must not speculate"
+    );
+    assert_eq!(pred.records, base.records);
+}
+
+#[test]
+fn speculative_runs_are_deterministic() {
+    let mut arrivals = Vec::new();
+    for i in 0..10 {
+        arrivals.push((200.0 * (i + 1) as f64, "vgg16"));
+        arrivals.push((200.0 * (i + 1) as f64 + 90.0, "resnet18"));
+    }
+    let trace = arrivals_trace(&arrivals, 4_000.0);
+    let repo = family_repo();
+    let run = || {
+        Platform::new(
+            four_slots(Some(PredictConfig::default())),
+            Policy::Optimus,
+            repo.clone(),
+        )
+        .run(&trace)
+    };
+    assert_eq!(run(), run());
+}
+
+#[test]
+fn speculation_never_costs_requests_anything() {
+    // Speculation runs off the request path and its cost gate bounds every
+    // guess, so the predicted run's mean service time must improve or tie
+    // the reactive one.
+    let mut arrivals = Vec::new();
+    for i in 0..10 {
+        arrivals.push((400.0 * (i + 1) as f64, "vgg16"));
+        arrivals.push((400.0 * (i + 1) as f64 + 150.0, "vgg19"));
+    }
+    let trace = arrivals_trace(&arrivals, 5_000.0);
+    let repo = family_repo();
+    let base = Platform::new(four_slots(None), Policy::Optimus, repo.clone()).run(&trace);
+    let pred = Platform::new(
+        four_slots(Some(PredictConfig::default())),
+        Policy::Optimus,
+        repo,
+    )
+    .run(&trace);
+    assert!(pred.avg_service_time() <= base.avg_service_time() + 1e-9);
+}

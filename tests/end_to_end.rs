@@ -187,10 +187,10 @@ fn sharing_aware_balancer_beats_hash_for_optimus() {
 
 #[test]
 fn all_extensions_compose() {
-    // Sharing-aware placement + memory-aware capacity + predictive
-    // prewarming, all at once, must still uphold the basic guarantees and
-    // not regress plain Optimus.
-    use optimus::sim::{MemoryLimit, PrewarmConfig};
+    // Sharing-aware placement + memory-aware capacity + arrival prediction
+    // with speculative transformation, all at once, must still uphold the
+    // basic guarantees and not regress plain Optimus.
+    use optimus::sim::{MemoryLimit, PredictConfig};
     let repo = small_repo();
     let functions = repo.model_names();
     let trace = optimus::workload::AzureTraceGenerator::new(40_000.0, 3).generate(&functions);
@@ -203,7 +203,8 @@ fn all_extensions_compose() {
         nodes: 2,
         capacity_per_node: 16,
         memory: Some(MemoryLimit::gib(4)),
-        prewarm: Some(PrewarmConfig::default()),
+        // Adaptive keep-alive plus speculation (the default config).
+        predict: Some(PredictConfig::default()),
         ..SimConfig::default()
     };
     let base = Platform::new(base_config, Policy::Optimus, repo.clone()).run(&trace);
