@@ -8,7 +8,9 @@
 //! loop's perf trajectory is tracked across PRs; when both the
 //! `baseline_string_keyed` and `interned` entries are present the file
 //! also records the per-policy speedup. Run with `--small` for a
-//! 1k-invocation CI smoke that skips the JSON update.
+//! 1k-invocation CI smoke that skips the JSON update. Besides the four
+//! policies, an `Optimus+store` row runs Optimus with the weight store
+//! on, so the smoke also covers the store's per-operation cost.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -16,7 +18,7 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use optimus_core::{GroupPlanner, ModelRepository};
 use optimus_profile::CostModel;
-use optimus_sim::{PlacementStrategy, Platform, Policy, SimConfig};
+use optimus_sim::{PlacementStrategy, Platform, Policy, SimConfig, StoreConfig};
 use optimus_workload::{PoissonGenerator, Trace};
 
 /// The six-model CNN catalog shared with `benches/simulator.rs`, plus a
@@ -114,16 +116,24 @@ fn sim_event_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_event_loop");
     group.throughput(Throughput::Elements(trace.len() as u64));
     let mut eps = serde_json::Map::new();
-    for policy in Policy::ALL {
+    // Every policy on the store-off loop, plus Optimus with the
+    // content-addressed weight store on (the store path of `sim_full`).
+    let store_config = SimConfig {
+        store: Some(StoreConfig::default()),
+        ..config.clone()
+    };
+    let rows = Policy::ALL
+        .map(|policy| (policy.name().to_string(), policy, &config))
+        .into_iter()
+        .chain([("Optimus+store".to_string(), Policy::Optimus, &store_config)]);
+    for (name, policy, config) in rows {
         let platform = Platform::new(config.clone(), policy, repo.clone());
-        group.bench_with_input(
-            BenchmarkId::new("run", policy.name()),
-            &trace,
-            |b, trace| b.iter(|| platform.run(trace)),
-        );
+        group.bench_with_input(BenchmarkId::new("run", &name), &trace, |b, trace| {
+            b.iter(|| platform.run(trace))
+        });
         let runs = if small { 3 } else { 10 };
         eps.insert(
-            policy.name().to_string(),
+            name,
             serde_json::json!(events_per_sec(&platform, &trace, runs)),
         );
     }

@@ -163,16 +163,14 @@ fn main() {
     let chunk_bytes = StoreConfig::default().chunk_bytes;
 
     let plan = GroupPlanner.plan(&sibling, &target, &cost);
-    let split = plan_chunks(&plan, &target, chunk_bytes);
+    let target_chunks = model_chunks(&target, chunk_bytes);
+    let split = plan_chunks(&plan, &target_chunks, chunk_bytes);
     // The partition is exact at the chunk-id level: fetched and reused
     // ids are disjoint and together cover the destination's unique
     // content (byte sums over raw chunk lists would double-count content
     // the decoder deduplicates internally, e.g. identical zero-init
     // LayerNorm tensors across layers).
-    let dst_unique: HashMap<_, u64> = model_chunks(&target, chunk_bytes)
-        .into_iter()
-        .map(|c| (c.id, c.bytes))
-        .collect();
+    let dst_unique: HashMap<_, u64> = target_chunks.iter().map(|c| (c.id, c.bytes)).collect();
     let fetched_ids: HashSet<_> = split.fetched.iter().map(|c| c.id).collect();
     let reused_ids: HashSet<_> = split.reused.iter().map(|c| c.id).collect();
     assert!(fetched_ids.is_disjoint(&reused_ids));

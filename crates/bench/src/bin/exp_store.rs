@@ -26,7 +26,7 @@ use optimus_bench::{figure11_models, fmt_s, print_table, save_results};
 use optimus_model::ModelGraph;
 use optimus_profile::Environment;
 use optimus_sim::{Platform, Policy, SimConfig, TierParams};
-use optimus_store::{model_chunks, ChunkRef, ChunkSet, NodeStore, StoreConfig};
+use optimus_store::{dedup_chunks, model_chunks, ChunkRef, ChunkSet, NodeStore, StoreConfig};
 use optimus_workload::{rates, PoissonGenerator};
 
 /// Sorted percentile of a sample (nearest-rank on the sorted data).
@@ -129,7 +129,7 @@ fn main() {
 
     // ── 2. Tier monotonicity ────────────────────────────────────────────
     let probe = &models[0];
-    let probe_chunks = model_chunks(probe, chunk_bytes);
+    let probe_chunks = dedup_chunks(model_chunks(probe, chunk_bytes));
     let chain = tier_chain(&probe_chunks);
     println!("\nLoad latency of {} by residency tier\n", probe.name());
     print_table(

@@ -254,8 +254,6 @@ impl OverrunGuard {
 struct Shard {
     /// Scratch-load cost per slot (`NAN` = not registered).
     load_costs: Vec<f64>,
-    /// Model graph per slot (feeds `plan_chunks_by_id`).
-    models: Vec<Option<Arc<ModelGraph>>>,
     /// Plans *into* the slot's model, keyed by source [`ModelId`]. Memory
     /// is proportional to cached plans, never to catalog².
     plans_in: Vec<HashMap<ModelId, Arc<TransformPlan>>>,
@@ -265,17 +263,15 @@ impl Shard {
     fn ensure(&mut self, slot: usize) {
         if slot >= self.load_costs.len() {
             self.load_costs.resize(slot + 1, f64::NAN);
-            self.models.resize(slot + 1, None);
             self.plans_in.resize_with(slot + 1, HashMap::new);
         }
     }
 
     fn apply(&mut self, op: FlushOp) {
         match op {
-            FlushOp::Model { slot, load, model } => {
+            FlushOp::Model { slot, load } => {
                 self.ensure(slot);
                 self.load_costs[slot] = load;
-                self.models[slot] = Some(model);
             }
             FlushOp::Plan { slot, src, plan } => {
                 self.ensure(slot);
@@ -290,7 +286,6 @@ enum FlushOp {
     Model {
         slot: usize,
         load: f64,
-        model: Arc<ModelGraph>,
     },
     Plan {
         slot: usize,
@@ -388,13 +383,12 @@ fn build_shards(
 ) -> Box<[RwLock<Shard>]> {
     let mask = count - 1;
     let mut shards: Vec<Shard> = (0..count).map(|_| Shard::default()).collect();
-    for (name, model) in &inner.models {
+    for name in inner.models.keys() {
         let id = ids.get(name).expect("registered name is interned");
         let slot = id.index() >> shard_bits;
         let shard = &mut shards[id.index() & mask];
         shard.ensure(slot);
         shard.load_costs[slot] = inner.load_costs.get(name).copied().unwrap_or(f64::NAN);
-        shard.models[slot] = Some(model.clone());
     }
     for (src, per_src) in &inner.plans {
         let Some(si) = ids.get(src) else {
@@ -707,7 +701,6 @@ impl ModelRepository {
                 per_shard[id.index() & mask].push(FlushOp::Model {
                     slot: id.index() >> self.shard_bits,
                     load: m.load,
-                    model: m.model.clone(),
                 });
             }
             for (task, plan) in tasks.iter().zip(&planned) {
@@ -966,36 +959,14 @@ impl ModelRepository {
         self.transform_latency_by_id(si, di)
     }
 
-    /// Chunk split of the cached `src → dst` plan (see
-    /// [`crate::plan_chunks`]): the payload chunks a store must fetch vs.
-    /// the destination chunks reused from the source in place. `None`
-    /// when either model is unregistered or no plan is cached.
-    pub fn plan_chunks(
-        &self,
-        src: &str,
-        dst: &str,
-        chunk_bytes: u64,
-    ) -> Option<crate::chunks::PlanChunks> {
-        let (si, di) = self.resolve_pair(src, dst)?;
-        self.plan_chunks_by_id(si, di, chunk_bytes)
-    }
-
-    /// Id-keyed [`ModelRepository::plan_chunks`] (used by the simulator's
-    /// store-state precomputation).
-    pub fn plan_chunks_by_id(
-        &self,
-        src: ModelId,
-        dst: ModelId,
-        chunk_bytes: u64,
-    ) -> Option<crate::chunks::PlanChunks> {
-        let (plan, model) = {
-            let shard = self.shards[dst.index() & (self.shards.len() - 1)].read();
-            let slot = dst.index() >> self.shard_bits;
-            let plan = shard.plans_in.get(slot)?.get(&src)?.clone();
-            let model = shard.models.get(slot)?.clone()?;
-            (plan, model)
-        };
-        Some(crate::chunks::plan_chunks(&plan, &model, chunk_bytes))
+    /// Id-keyed [`ModelRepository::plan`]: the cached `src → dst` plan
+    /// (one shard read lock). Callers split it into fetched and reused
+    /// chunks with [`crate::plan_chunks`] against the destination chunk
+    /// list they already hold.
+    pub fn plan_by_id(&self, src: ModelId, dst: ModelId) -> Option<Arc<TransformPlan>> {
+        let shard = self.shards[dst.index() & (self.shards.len() - 1)].read();
+        let slot = dst.index() >> self.shard_bits;
+        shard.plans_in.get(slot)?.get(&src).cloned()
     }
 
     /// Deduplicated union of every cached plan's payload chunks, sorted
@@ -1016,8 +987,9 @@ impl ModelRepository {
 
     /// Export the plan cache as a content-addressed, version-stamped
     /// [`PlanArtifact`]: every cached plan keyed by its endpoints'
-    /// [`ModelGraph::content_hash`], sorted for byte-determinism. The
-    /// inverse of [`ModelRepository::register_all_with_artifact`].
+    /// [`ModelGraph::content_hash`], sorted and with `planning_seconds`
+    /// zeroed for byte-determinism. The inverse of
+    /// [`ModelRepository::register_all_with_artifact`].
     pub fn export_plan_artifact(&self) -> PlanArtifact {
         let inner = self.inner.read();
         let mut entries: Vec<PlanArtifactEntry> = Vec::new();
@@ -1032,7 +1004,12 @@ impl ModelRepository {
                 entries.push(PlanArtifactEntry {
                     src_hash,
                     dst_hash,
-                    plan: (**plan).clone(),
+                    // Wall-clock planning time differs per process; zero
+                    // it so equal plan sets export equal bytes.
+                    plan: TransformPlan {
+                        planning_seconds: 0.0,
+                        ..(**plan).clone()
+                    },
                 });
             }
         }
@@ -1360,11 +1337,7 @@ mod tests {
                     repo.transform_latency(src, dst),
                     repo.transform_latency_by_id(si, di)
                 );
-                let chunk = 1 << 20;
-                assert_eq!(
-                    repo.plan_chunks(src, dst, chunk),
-                    repo.plan_chunks_by_id(si, di, chunk)
-                );
+                assert_eq!(repo.plan(src, dst), repo.plan_by_id(si, di));
             }
         }
         assert!(repo.model_id("missing").is_none());
@@ -1519,6 +1492,33 @@ mod tests {
         assert_eq!(misses.get(), 4);
         assert_eq!(warm.planner_invocations(), 4);
         assert!(warm.decide("vgg11", "vgg19").unwrap().is_transform());
+    }
+
+    #[test]
+    fn independently_planned_artifacts_are_byte_identical() {
+        // Host-timing fields must not reach the export: two processes
+        // planning the same catalog ship the same artifact bytes (and so
+        // the same content-addressed chunks).
+        let cost = CostModel::default();
+        let export = || {
+            let repo = ModelRepository::new(Box::new(GroupPlanner));
+            repo.register_all_with_threads(
+                vec![
+                    optimus_zoo::vgg::vgg11(),
+                    optimus_zoo::vgg::vgg16(),
+                    optimus_zoo::resnet::resnet18(),
+                ],
+                &cost,
+                2,
+            );
+            repo.export_plan_artifact().to_json()
+        };
+        let (a, b) = (export(), export());
+        assert_eq!(a.len(), b.len());
+        assert!(
+            a == b,
+            "artifact JSON must not depend on planning wall-clock"
+        );
     }
 
     #[test]

@@ -10,8 +10,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use optimus_model::ModelGraph;
-use optimus_store::{model_chunks, weights_chunks, ChunkId, ChunkRef};
+use optimus_store::{weights_chunks, ChunkId, ChunkRef};
 
 use crate::metaop::{MetaOp, TransformPlan};
 
@@ -39,8 +38,12 @@ impl PlanChunks {
     }
 }
 
-/// Split `plan`'s effect on `dst` into fetched and reused chunks.
-pub fn plan_chunks(plan: &TransformPlan, dst: &ModelGraph, chunk_bytes: u64) -> PlanChunks {
+/// Split `plan`'s effect on the destination into fetched and reused
+/// chunks. `dst_chunks` is the destination model's chunk list
+/// ([`model_chunks`](optimus_store::model_chunks), or its
+/// [`dedup_chunks`](optimus_store::dedup_chunks) form where the caller
+/// caches one); `reused` keeps its order and multiplicity.
+pub fn plan_chunks(plan: &TransformPlan, dst_chunks: &[ChunkRef], chunk_bytes: u64) -> PlanChunks {
     let mut fetched: Vec<ChunkRef> = Vec::new();
     let mut seen: HashSet<ChunkId> = HashSet::new();
     for step in &plan.steps {
@@ -57,8 +60,9 @@ pub fn plan_chunks(plan: &TransformPlan, dst: &ModelGraph, chunk_bytes: u64) -> 
             }
         }
     }
-    let reused = model_chunks(dst, chunk_bytes)
-        .into_iter()
+    let reused = dst_chunks
+        .iter()
+        .copied()
         .filter(|c| !seen.contains(&c.id))
         .collect();
     PlanChunks { fetched, reused }
@@ -94,7 +98,7 @@ mod tests {
     use super::*;
     use crate::planner::{GroupPlanner, Planner};
     use optimus_profile::CostModel;
-    use optimus_store::DEFAULT_CHUNK_BYTES;
+    use optimus_store::{model_chunks, DEFAULT_CHUNK_BYTES};
 
     #[test]
     fn plan_chunks_partition_the_destination() {
@@ -102,7 +106,11 @@ mod tests {
         let dst = optimus_zoo::vgg::vgg19();
         let cost = CostModel::default();
         let plan = GroupPlanner.plan(&src, &dst, &cost);
-        let split = plan_chunks(&plan, &dst, DEFAULT_CHUNK_BYTES);
+        let split = plan_chunks(
+            &plan,
+            &model_chunks(&dst, DEFAULT_CHUNK_BYTES),
+            DEFAULT_CHUNK_BYTES,
+        );
         assert!(!split.fetched.is_empty(), "cross-model plans move bytes");
         assert_eq!(
             split.fetched_bytes() + split.reused_bytes(),
@@ -121,7 +129,11 @@ mod tests {
         let m = optimus_zoo::resnet::resnet18();
         let cost = CostModel::default();
         let plan = GroupPlanner.plan(&m, &m, &cost);
-        let split = plan_chunks(&plan, &m, DEFAULT_CHUNK_BYTES);
+        let split = plan_chunks(
+            &plan,
+            &model_chunks(&m, DEFAULT_CHUNK_BYTES),
+            DEFAULT_CHUNK_BYTES,
+        );
         assert_eq!(split.fetched_bytes(), 0);
         assert_eq!(split.reused_bytes(), m.byte_size() as u64);
     }

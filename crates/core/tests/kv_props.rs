@@ -140,12 +140,10 @@ proptest! {
         // content the decoder deduplicates internally, e.g. identical
         // zero-initialized LayerNorm tensors across layers.)
         let plan = GroupPlanner.plan(&src, &dst, &cost);
-        let split = plan_chunks(&plan, &dst, DEFAULT_CHUNK_BYTES);
+        let dst_chunks = optimus_store::model_chunks(&dst, DEFAULT_CHUNK_BYTES);
+        let split = plan_chunks(&plan, &dst_chunks, DEFAULT_CHUNK_BYTES);
         let dst_unique: std::collections::HashMap<_, u64> =
-            optimus_store::model_chunks(&dst, DEFAULT_CHUNK_BYTES)
-                .into_iter()
-                .map(|c| (c.id, c.bytes))
-                .collect();
+            dst_chunks.iter().map(|c| (c.id, c.bytes)).collect();
         let fetched_ids: std::collections::HashSet<_> =
             split.fetched.iter().map(|c| c.id).collect();
         let reused_ids: std::collections::HashSet<_> =

@@ -21,11 +21,13 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use optimus_core::scheduler::{expire, lru, ContainerView, Lifecycle, Start};
-use optimus_core::{execute_plan, ModelRepository};
+use optimus_core::{execute_plan, plan_chunks, ModelRepository};
 use optimus_model::tensor::Tensor;
 use optimus_model::{infer, InternKey, ModelGraph, ModelId};
 use optimus_predict::SpecCandidate;
-use optimus_store::{model_chunks, ChunkRef, NodeStore, StoreConfig, StoreStats, Tier};
+use optimus_store::{
+    dedup_chunks, model_chunks, ChunkRef, NodeStore, StoreConfig, StoreStats, Tier,
+};
 use optimus_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, Phase, Span, TelemetrySink};
 use parking_lot::Mutex;
 
@@ -62,6 +64,26 @@ pub(crate) enum ControlItem {
     Warm(Vec<ChunkRef>),
 }
 
+/// Per-model chunk lists, deterministic per registered model: chunked
+/// and deduplicated once, keyed by interned id, and lent out by
+/// reference.
+struct ChunkLists {
+    chunk_bytes: u64,
+    lists: HashMap<ModelId, Vec<ChunkRef>>,
+}
+
+impl ChunkLists {
+    fn of(&mut self, repo: &ModelRepository, id: ModelId) -> &[ChunkRef] {
+        let chunk_bytes = self.chunk_bytes;
+        self.lists.entry(id).or_insert_with(|| {
+            repo.model_name_of(id)
+                .and_then(|name| repo.model(&name))
+                .map(|m| dedup_chunks(model_chunks(&m, chunk_bytes)))
+                .unwrap_or_default()
+        })
+    }
+}
+
 /// Per-node weight-store accounting plus its telemetry handles.
 ///
 /// The live engine measures real wall-clock, so the store never injects
@@ -70,10 +92,7 @@ pub(crate) enum ControlItem {
 pub(crate) struct WorkerStore {
     node_id: usize,
     store: NodeStore,
-    chunk_bytes: u64,
-    /// Chunk lists are deterministic per registered model: compute once,
-    /// keyed by interned id.
-    model_chunks: HashMap<ModelId, Vec<ChunkRef>>,
+    chunks: ChunkLists,
     /// Resident-byte gauges for the three local tiers, warmest first:
     /// container, node memory, node disk.
     resident: [Gauge; 3],
@@ -107,8 +126,10 @@ impl WorkerStore {
         WorkerStore {
             node_id,
             store,
-            chunk_bytes: config.chunk_bytes,
-            model_chunks: HashMap::new(),
+            chunks: ChunkLists {
+                chunk_bytes: config.chunk_bytes,
+                lists: HashMap::new(),
+            },
             resident,
             dedup: metrics.gauge("optimus_store_dedup_ratio", &[("node", &node)]),
             hits: metrics.counter("optimus_store_chunk_hits_total", &[("node", &node)]),
@@ -119,45 +140,34 @@ impl WorkerStore {
         }
     }
 
-    fn chunks_of(&mut self, repo: &ModelRepository, id: ModelId) -> Vec<ChunkRef> {
-        if let Some(chunks) = self.model_chunks.get(&id) {
-            return chunks.clone();
-        }
-        let chunks = repo
-            .model_name_of(id)
-            .and_then(|name| repo.model(&name))
-            .map(|m| model_chunks(&m, self.chunk_bytes))
-            .unwrap_or_default();
-        self.model_chunks.insert(id, chunks.clone());
-        chunks
-    }
-
     /// A cold start admits the full model.
     fn admit_model(&mut self, repo: &ModelRepository, id: ModelId) {
-        let chunks = self.chunks_of(repo, id);
-        self.store.admit(&chunks);
+        self.store.admit(self.chunks.of(repo, id));
     }
 
     /// A transformation fetches only the cached plan's payload delta; the
     /// rest of the destination is synthesized in place from the donor.
     fn transform(&mut self, repo: &ModelRepository, src: ModelId, dst: ModelId) {
-        match repo.plan_chunks_by_id(src, dst, self.chunk_bytes) {
-            Some(pc) => {
+        let chunk_bytes = self.chunks.chunk_bytes;
+        let dst_chunks = self.chunks.of(repo, dst);
+        match repo.plan_by_id(src, dst) {
+            Some(plan) => {
+                let pc = plan_chunks(&plan, dst_chunks, chunk_bytes);
                 self.store.admit(&pc.fetched);
                 self.store.produce(&pc.reused);
             }
-            // No cached plan chunks (shouldn't happen when a plan was just
+            // No cached plan (shouldn't happen when a plan was just
             // applied): account a full admission.
-            None => self.admit_model(repo, dst),
+            None => {
+                self.store.admit(dst_chunks);
+            }
         }
-        let src_chunks = self.chunks_of(repo, src);
-        self.store.release(&src_chunks);
+        self.store.release(self.chunks.of(repo, src));
     }
 
     /// Container eviction demotes its chunks instead of forgetting them.
     fn release_model(&mut self, repo: &ModelRepository, id: ModelId) {
-        let chunks = self.chunks_of(repo, id);
-        self.store.release(&chunks);
+        self.store.release(self.chunks.of(repo, id));
     }
 
     /// Node crash: volatile tiers are lost wholesale (refcounts zeroed,

@@ -12,7 +12,7 @@
 //! per-run [`RunCtx`] make the steady state of [`Platform::run`]
 //! allocation-free.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use optimus_core::scheduler::{expire, lru, ContainerView, Lifecycle, Start};
@@ -26,7 +26,7 @@ use optimus_model::signature::OpSignature;
 use optimus_model::{FunctionId, InternKey, Interner, ModelGraph, ModelId};
 use optimus_predict::{PredictReport, Predictor, SpecCandidate};
 use optimus_profile::{CostModel, CostProvider, PlatformProfile};
-use optimus_store::{ChunkIndex, ChunkRef, NodeStore, StoreStats};
+use optimus_store::{dedup_chunks, ChunkId, ChunkIndex, ChunkRef, NodeStore, StoreStats};
 use optimus_telemetry::{RequestTrace, TelemetrySink};
 use optimus_workload::{demand_histogram, Trace};
 
@@ -357,21 +357,37 @@ impl Platform {
         let store = config.store.map(|sc| {
             sc.validate().expect("store config must be valid");
             let n = functions.len();
+            // One chunking per model, deduplicated once here: every store
+            // operation takes unique ids.
             let mut model_chunks = ChunkIndex::new();
+            for f in 0..n {
+                let fid = FunctionId::from_index(f);
+                let model = repo.model(interner.name(fid)).expect("listed model exists");
+                model_chunks.insert(
+                    fid,
+                    dedup_chunks(optimus_store::model_chunks(&model, sc.chunk_bytes)),
+                );
+            }
+            // Plan splits reuse the destination's chunk list; the pinned
+            // working set is the id-sorted union of their payloads.
             let mut plan_chunks: Vec<Option<PlanChunks>> = Vec::new();
             plan_chunks.resize_with(n * n, || None);
+            let mut pinned: BTreeMap<ChunkId, ChunkRef> = BTreeMap::new();
             for src in 0..n {
-                let sfid = FunctionId::from_index(src);
-                let model = repo
-                    .model(interner.name(sfid))
-                    .expect("listed model exists");
-                model_chunks.insert(sfid, optimus_store::model_chunks(&model, sc.chunk_bytes));
                 for dst in 0..n {
-                    plan_chunks[src * n + dst] = repo.plan_chunks_by_id(
-                        functions[src].model_id,
-                        functions[dst].model_id,
-                        sc.chunk_bytes,
-                    );
+                    let Some(plan) =
+                        repo.plan_by_id(functions[src].model_id, functions[dst].model_id)
+                    else {
+                        continue;
+                    };
+                    let dst_chunks = model_chunks
+                        .get(FunctionId::from_index(dst))
+                        .expect("every function is chunked");
+                    let split = optimus_core::plan_chunks(&plan, dst_chunks, sc.chunk_bytes);
+                    for &c in &split.fetched {
+                        pinned.entry(c.id).or_insert(c);
+                    }
+                    plan_chunks[src * n + dst] = Some(split);
                 }
             }
             let artifact_chunks = if config.plan_warm {
@@ -383,7 +399,7 @@ impl Platform {
                 config: sc,
                 model_chunks,
                 plan_chunks,
-                pinned: repo.plan_referenced_chunks(sc.chunk_bytes),
+                pinned: pinned.into_values().collect(),
                 artifact_chunks,
             }
         });
@@ -1672,5 +1688,55 @@ impl NodeState {
         c.mem_bytes = mem_bytes;
         self.containers.push(c);
         self.containers.len() - 1
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use optimus_core::plan_chunks;
+    use optimus_store::{model_chunks, StoreConfig};
+
+    /// The store tables, built from one chunking per model, equal what
+    /// re-chunking every destination model and every plan payload per
+    /// pair gives (in the first-occurrence dedup form every store
+    /// operation applies to its input).
+    #[test]
+    fn store_tables_match_per_pair_chunking_on_the_figure13_catalog() {
+        let sc = StoreConfig::default();
+        let config = SimConfig {
+            store: Some(sc),
+            ..SimConfig::default()
+        };
+        let platform =
+            Platform::with_catalog(config, Policy::Optimus, optimus_zoo::figure13_models());
+        let ss = platform.store.as_ref().expect("store is on");
+        let repo = &platform.repo;
+        let names = repo.model_names();
+        let n = names.len();
+        let mut splits = 0;
+        for (s, src) in names.iter().enumerate() {
+            let model = repo.model(src).expect("registered");
+            assert_eq!(
+                ss.model_chunks.get(FunctionId::from_index(s)),
+                Some(dedup_chunks(model_chunks(&model, sc.chunk_bytes)).as_slice()),
+                "{src}"
+            );
+            for (d, dst) in names.iter().enumerate() {
+                let expected = repo.plan(src, dst).map(|plan| {
+                    let dst_model = repo.model(dst).expect("registered");
+                    let dst_chunks = model_chunks(&dst_model, sc.chunk_bytes);
+                    let split = plan_chunks(&plan, &dst_chunks, sc.chunk_bytes);
+                    PlanChunks {
+                        reused: dedup_chunks(split.reused),
+                        ..split
+                    }
+                });
+                splits += usize::from(expected.is_some());
+                assert_eq!(ss.plan_chunks[s * n + d], expected, "{src} -> {dst}");
+            }
+        }
+        assert!(splits > n, "the catalog has cross-model plans");
+        assert_eq!(ss.pinned, repo.plan_referenced_chunks(sc.chunk_bytes));
     }
 }

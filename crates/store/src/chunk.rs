@@ -8,7 +8,7 @@
 //! chunks, which is what makes catalog-level dedup and transformation
 //! "fetch only the delta" fall out of plain set operations.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::marker::PhantomData;
 
 use optimus_model::{InternKey, ModelGraph, WeightSpec, Weights};
@@ -117,6 +117,16 @@ pub fn model_chunks(model: &ModelGraph, chunk_bytes: u64) -> Vec<ChunkRef> {
         }
     }
     out
+}
+
+/// Deduplicate a chunk list by id, keeping first occurrences: the form
+/// every [`NodeStore`](crate::NodeStore) operation takes (a container
+/// holding the same content twice references and transports it once).
+/// Deduplicate once, where a list is cached, not per store operation.
+pub fn dedup_chunks(mut chunks: Vec<ChunkRef>) -> Vec<ChunkRef> {
+    let mut seen = HashSet::with_capacity(chunks.len());
+    chunks.retain(|c| seen.insert(c.id));
+    chunks
 }
 
 /// Per-model chunk lists keyed by a dense interned id

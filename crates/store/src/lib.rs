@@ -35,8 +35,8 @@ mod node;
 mod tier;
 
 pub use chunk::{
-    blob_chunks, chunk_spec, model_chunks, weights_chunks, ChunkId, ChunkIndex, ChunkRef, ChunkSet,
-    DEFAULT_CHUNK_BYTES,
+    blob_chunks, chunk_spec, dedup_chunks, model_chunks, weights_chunks, ChunkId, ChunkIndex,
+    ChunkRef, ChunkSet, DEFAULT_CHUNK_BYTES,
 };
 pub use node::{FetchCost, NodeStore, StoreStats};
 pub use tier::{StoreConfig, Tier, TierParams};

@@ -9,15 +9,27 @@
 //!    found at (missing chunks transport from [`Tier::Remote`]).
 //! 2. **release** — the container is evicted or repurposed: references
 //!    drop, and chunks nobody references any more are *demoted* to
-//!    [`Tier::NodeMemory`] instead of being dropped — the keep-alive
-//!    expiry semantics the tentpole asks for.
+//!    [`Tier::NodeMemory`] instead of being dropped, so keep-alive
+//!    expiry keeps the bytes warm on the node.
 //! 3. **LRU demotion** — when node memory overflows its budget, the
 //!    least-recently-touched unpinned chunks demote to [`Tier::NodeDisk`];
 //!    when the disk cache overflows, they are forgotten back to
 //!    [`Tier::Remote`]. Pinned chunks (cached-plan working set) are
 //!    exempt.
+//!
+//! Cost contract: every chunk-list operation ([`NodeStore::admit`],
+//! [`NodeStore::produce`], [`NodeStore::warm`], [`NodeStore::release`],
+//! [`NodeStore::estimate`], [`NodeStore::pin`], [`NodeStore::unpin`])
+//! costs O(chunks passed in), independent of how many chunks the node
+//! holds: per-tier byte totals are kept incrementally, so the capacity
+//! check is O(1), and only a tier that is actually over budget pays an
+//! O(v log v) sort of its v demotion candidates. The lists must hold
+//! unique ids (checked by `debug_assert!`); callers deduplicate once
+//! with [`dedup_chunks`](crate::dedup_chunks) where they cache a list.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -34,6 +46,68 @@ struct ChunkEntry {
     pinned: bool,
     /// Logical LRU clock value of the last touch.
     touch: u64,
+}
+
+/// Pass-through hasher for [`ChunkId`] keys: ids are already
+/// avalanche-mixed content hashes, so hashing them again buys nothing.
+/// Iteration order of the map is never observed (victims are sorted by
+/// `(touch, id)`; stats and crash are order-free).
+#[derive(Default)]
+struct ChunkIdHasher(u64);
+
+impl Hasher for ChunkIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
+    }
+}
+
+type ChunkMap = HashMap<ChunkId, ChunkEntry, BuildHasherDefault<ChunkIdHasher>>;
+
+/// The entry of `c`; a chunk the node has never seen enters as an
+/// unreferenced, unpinned [`Tier::Remote`] placeholder touched at `clock`.
+fn entry_of<'a>(
+    chunks: &'a mut ChunkMap,
+    tier_bytes: &mut [u64; 4],
+    c: ChunkRef,
+    clock: u64,
+) -> &'a mut ChunkEntry {
+    match chunks.entry(c.id) {
+        Entry::Occupied(e) => e.into_mut(),
+        Entry::Vacant(v) => {
+            tier_bytes[Tier::Remote as usize] += c.bytes;
+            v.insert(ChunkEntry {
+                bytes: c.bytes,
+                tier: Tier::Remote,
+                refs: 0,
+                pinned: false,
+                touch: clock,
+            })
+        }
+    }
+}
+
+/// Move `e` to tier `to`, keeping the per-tier byte totals in step.
+fn retier(tier_bytes: &mut [u64; 4], e: &mut ChunkEntry, to: Tier) {
+    tier_bytes[e.tier as usize] -= e.bytes;
+    tier_bytes[to as usize] += e.bytes;
+    e.tier = to;
+}
+
+/// Whether every id in `chunks` is distinct: the precondition of every
+/// chunk-list operation (checked in debug builds only).
+fn unique_ids(chunks: &[ChunkRef]) -> bool {
+    let mut seen = HashSet::with_capacity(chunks.len());
+    chunks.iter().all(|c| seen.insert(c.id))
 }
 
 /// Byte breakdown of one admit/estimate by the tier the chunks were found
@@ -113,9 +187,16 @@ impl StoreStats {
 }
 
 /// The per-node content-addressed chunk store.
+///
+/// Every chunk-list argument must hold unique ids (deduplicate with
+/// [`dedup_chunks`](crate::dedup_chunks) where the list is cached): a
+/// container holding the same content twice references it once.
 pub struct NodeStore {
     config: StoreConfig,
-    chunks: HashMap<ChunkId, ChunkEntry>,
+    chunks: ChunkMap,
+    /// Σ bytes of the entries at each tier, indexed by `Tier as usize`
+    /// ([`Tier::Remote`] counts pinned placeholders).
+    tier_bytes: [u64; 4],
     clock: u64,
     hits: u64,
     misses: u64,
@@ -134,7 +215,8 @@ impl NodeStore {
         config.validate().expect("store config must be valid");
         NodeStore {
             config,
-            chunks: HashMap::new(),
+            chunks: ChunkMap::default(),
+            tier_bytes: [0; 4],
             clock: 0,
             hits: 0,
             misses: 0,
@@ -148,19 +230,15 @@ impl NodeStore {
         &self.config
     }
 
-    /// Deduplicate a chunk list by id, keeping first occurrences: a
-    /// container holding the same content twice still references (and
-    /// transports) it once.
-    fn uniq(chunks: &[ChunkRef]) -> Vec<ChunkRef> {
-        let mut seen = HashSet::with_capacity(chunks.len());
-        chunks
-            .iter()
-            .copied()
-            .filter(|c| seen.insert(c.id))
-            .collect()
+    /// Bytes of the chunks currently at `tier`, kept incrementally (for
+    /// [`Tier::Remote`]: the pinned placeholders of non-resident chunks).
+    pub fn tier_bytes(&self, tier: Tier) -> u64 {
+        self.tier_bytes[tier as usize]
     }
 
-    fn cost_of(&self, container: u64, memory: u64, disk: u64, remote: u64) -> FetchCost {
+    /// Price bytes found at each tier (indexed by `Tier as usize`).
+    fn cost_of(&self, found: [u64; 4]) -> FetchCost {
+        let [remote, disk, memory, container] = found;
         FetchCost {
             container_bytes: container,
             memory_bytes: memory,
@@ -174,66 +252,40 @@ impl NodeStore {
 
     /// Read-only estimate of what admitting `chunks` would cost right now.
     pub fn estimate(&self, chunks: &[ChunkRef]) -> FetchCost {
-        let (mut con, mut mem, mut disk, mut rem) = (0u64, 0u64, 0u64, 0u64);
-        for c in Self::uniq(chunks) {
-            match self.chunks.get(&c.id).map(|e| e.tier) {
-                Some(Tier::Container) => con += c.bytes,
-                Some(Tier::NodeMemory) => mem += c.bytes,
-                Some(Tier::NodeDisk) => disk += c.bytes,
-                Some(Tier::Remote) | None => rem += c.bytes,
-            }
+        debug_assert!(unique_ids(chunks), "chunk ids must be unique");
+        let mut found = [0u64; 4];
+        for c in chunks {
+            let tier = self.chunks.get(&c.id).map_or(Tier::Remote, |e| e.tier);
+            found[tier as usize] += c.bytes;
         }
-        self.cost_of(con, mem, disk, rem)
+        self.cost_of(found)
     }
 
     /// A container starts holding `chunks`: promote them to
     /// [`Tier::Container`], add one reference each, and return the
     /// transport cost by source tier.
     pub fn admit(&mut self, chunks: &[ChunkRef]) -> FetchCost {
-        let (mut con, mut mem, mut disk, mut rem) = (0u64, 0u64, 0u64, 0u64);
-        for c in Self::uniq(chunks) {
+        debug_assert!(unique_ids(chunks), "chunk ids must be unique");
+        let mut found = [0u64; 4];
+        for &c in chunks {
             self.clock += 1;
             self.admitted_bytes += c.bytes;
-            match self.chunks.get_mut(&c.id) {
-                Some(e) if e.tier != Tier::Remote => {
-                    self.hits += 1;
-                    match e.tier {
-                        Tier::Container => con += c.bytes,
-                        Tier::NodeMemory => mem += c.bytes,
-                        Tier::NodeDisk => disk += c.bytes,
-                        Tier::Remote => unreachable!("guarded above"),
-                    }
-                    e.tier = Tier::Container;
-                    e.refs += 1;
-                    e.touch = self.clock;
-                }
-                Some(e) => {
-                    // Known (pinned placeholder) but not resident.
-                    self.misses += 1;
-                    rem += c.bytes;
-                    e.tier = Tier::Container;
-                    e.refs += 1;
-                    e.touch = self.clock;
-                }
-                None => {
-                    self.misses += 1;
-                    rem += c.bytes;
-                    self.chunks.insert(
-                        c.id,
-                        ChunkEntry {
-                            bytes: c.bytes,
-                            tier: Tier::Container,
-                            refs: 1,
-                            pinned: false,
-                            touch: self.clock,
-                        },
-                    );
-                }
+            let e = entry_of(&mut self.chunks, &mut self.tier_bytes, c, self.clock);
+            // A known but non-resident chunk (pinned placeholder) is a
+            // miss like an unknown one.
+            if e.tier == Tier::Remote {
+                self.misses += 1;
+            } else {
+                self.hits += 1;
             }
+            found[e.tier as usize] += c.bytes;
+            retier(&mut self.tier_bytes, e, Tier::Container);
+            e.refs += 1;
+            e.touch = self.clock;
         }
-        self.fetched_bytes += rem;
+        self.fetched_bytes += found[Tier::Remote as usize];
         self.enforce_capacity();
-        self.cost_of(con, mem, disk, rem)
+        self.cost_of(found)
     }
 
     /// A transformation synthesized `chunks` inside a live container
@@ -243,23 +295,13 @@ impl NodeStore {
     /// counters are untouched, because no lookup against the tiers
     /// happened; the bytes were *written*, not read.
     pub fn produce(&mut self, chunks: &[ChunkRef]) {
-        for c in Self::uniq(chunks) {
+        debug_assert!(unique_ids(chunks), "chunk ids must be unique");
+        for &c in chunks {
             self.clock += 1;
-            let clock = self.clock;
-            self.chunks
-                .entry(c.id)
-                .and_modify(|e| {
-                    e.tier = Tier::Container;
-                    e.refs += 1;
-                    e.touch = clock;
-                })
-                .or_insert(ChunkEntry {
-                    bytes: c.bytes,
-                    tier: Tier::Container,
-                    refs: 1,
-                    pinned: false,
-                    touch: clock,
-                });
+            let e = entry_of(&mut self.chunks, &mut self.tier_bytes, c, self.clock);
+            retier(&mut self.tier_bytes, e, Tier::Container);
+            e.refs += 1;
+            e.touch = self.clock;
         }
         self.enforce_capacity();
     }
@@ -273,30 +315,15 @@ impl NodeStore {
     /// the hit/miss and fetch counters track container loads only; the
     /// transfer itself is priced by the caller's multicast plan.
     pub fn warm(&mut self, chunks: &[ChunkRef]) -> u64 {
+        debug_assert!(unique_ids(chunks), "chunk ids must be unique");
         let mut delivered = 0;
-        for c in Self::uniq(chunks) {
+        for &c in chunks {
             self.clock += 1;
-            let clock = self.clock;
-            match self.chunks.get_mut(&c.id) {
-                Some(e) if e.tier >= Tier::NodeMemory => {}
-                Some(e) => {
-                    delivered += c.bytes;
-                    e.tier = Tier::NodeMemory;
-                    e.touch = clock;
-                }
-                None => {
-                    delivered += c.bytes;
-                    self.chunks.insert(
-                        c.id,
-                        ChunkEntry {
-                            bytes: c.bytes,
-                            tier: Tier::NodeMemory,
-                            refs: 0,
-                            pinned: false,
-                            touch: clock,
-                        },
-                    );
-                }
+            let e = entry_of(&mut self.chunks, &mut self.tier_bytes, c, self.clock);
+            if e.tier < Tier::NodeMemory {
+                delivered += c.bytes;
+                retier(&mut self.tier_bytes, e, Tier::NodeMemory);
+                e.touch = self.clock;
             }
         }
         self.enforce_capacity();
@@ -307,11 +334,12 @@ impl NodeStore {
     /// one reference each; chunks nobody references demote to
     /// [`Tier::NodeMemory`] — keep-alive expiry keeps the bytes warm.
     pub fn release(&mut self, chunks: &[ChunkRef]) {
-        for c in Self::uniq(chunks) {
+        debug_assert!(unique_ids(chunks), "chunk ids must be unique");
+        for c in chunks {
             if let Some(e) = self.chunks.get_mut(&c.id) {
                 e.refs = e.refs.saturating_sub(1);
                 if e.refs == 0 && e.tier == Tier::Container {
-                    e.tier = Tier::NodeMemory;
+                    retier(&mut self.tier_bytes, e, Tier::NodeMemory);
                 }
             }
         }
@@ -322,25 +350,17 @@ impl NodeStore {
     /// Unknown chunks are remembered as pinned [`Tier::Remote`]
     /// placeholders (pinning declares intent, it does not fetch).
     pub fn pin(&mut self, chunks: &[ChunkRef]) {
-        for c in Self::uniq(chunks) {
+        debug_assert!(unique_ids(chunks), "chunk ids must be unique");
+        for &c in chunks {
             self.clock += 1;
-            let clock = self.clock;
-            self.chunks
-                .entry(c.id)
-                .and_modify(|e| e.pinned = true)
-                .or_insert(ChunkEntry {
-                    bytes: c.bytes,
-                    tier: Tier::Remote,
-                    refs: 0,
-                    pinned: true,
-                    touch: clock,
-                });
+            entry_of(&mut self.chunks, &mut self.tier_bytes, c, self.clock).pinned = true;
         }
     }
 
     /// Unpin `chunks`, making them ordinary LRU citizens again.
     pub fn unpin(&mut self, chunks: &[ChunkRef]) {
-        for c in Self::uniq(chunks) {
+        debug_assert!(unique_ids(chunks), "chunk ids must be unique");
+        for c in chunks {
             if let Some(e) = self.chunks.get_mut(&c.id) {
                 e.pinned = false;
             }
@@ -356,18 +376,19 @@ impl NodeStore {
     /// cumulative counters survive the crash. Returns the volatile bytes
     /// lost.
     pub fn crash(&mut self) -> u64 {
-        let mut lost = 0;
+        let lost =
+            self.tier_bytes[Tier::Container as usize] + self.tier_bytes[Tier::NodeMemory as usize];
+        let tier_bytes = &mut self.tier_bytes;
         self.chunks.retain(|_, e| {
             e.refs = 0;
             match e.tier {
+                Tier::Container | Tier::NodeMemory if e.pinned => {
+                    retier(tier_bytes, e, Tier::Remote);
+                    true
+                }
                 Tier::Container | Tier::NodeMemory => {
-                    lost += e.bytes;
-                    if e.pinned {
-                        e.tier = Tier::Remote;
-                        true
-                    } else {
-                        false
-                    }
+                    tier_bytes[e.tier as usize] -= e.bytes;
+                    false
                 }
                 Tier::NodeDisk | Tier::Remote => true,
             }
@@ -388,36 +409,29 @@ impl NodeStore {
     }
 
     fn demote_tier(&mut self, from: Tier, to: Tier, budget: u64) {
-        let mut used: u64 = self
-            .chunks
-            .values()
-            .filter(|e| e.tier == from)
-            .map(|e| e.bytes)
-            .sum();
-        if used <= budget {
+        if self.tier_bytes[from as usize] <= budget {
             return;
         }
         // Oldest-first among unpinned entries of the tier; ties break on
         // the id for determinism.
-        let mut victims: Vec<(u64, ChunkId, u64)> = self
+        let mut victims: Vec<(u64, ChunkId)> = self
             .chunks
             .iter()
             .filter(|(_, e)| e.tier == from && !e.pinned)
-            .map(|(id, e)| (e.touch, *id, e.bytes))
+            .map(|(id, e)| (e.touch, *id))
             .collect();
         victims.sort_unstable();
-        for (_, id, bytes) in victims {
-            if used <= budget {
+        for (_, id) in victims {
+            if self.tier_bytes[from as usize] <= budget {
                 break;
             }
-            used -= bytes;
             if to == Tier::Remote {
-                let keep_placeholder = self.chunks.get(&id).is_some_and(|e| e.pinned);
-                if !keep_placeholder {
-                    self.chunks.remove(&id);
+                // Victims are unpinned, so no placeholder is kept.
+                if let Some(e) = self.chunks.remove(&id) {
+                    self.tier_bytes[from as usize] -= e.bytes;
                 }
             } else if let Some(e) = self.chunks.get_mut(&id) {
-                e.tier = to;
+                retier(&mut self.tier_bytes, e, to);
             }
         }
     }

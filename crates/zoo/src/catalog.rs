@@ -16,6 +16,38 @@ use crate::{
     wideresnet, xception,
 };
 
+/// The function population for the end-to-end runs (Figures 13/14/16):
+/// a CNN mix across all six families (several widths and weight variants)
+/// plus the ten BERT variants — 37 functions on 2 nodes × 12 slots, the
+/// paper's "not enough warm containers for every model type" regime.
+pub fn figure13_models() -> Vec<ModelGraph> {
+    let mut models = Vec::new();
+    for depth in [11usize, 16, 19] {
+        models.push(vgg::vgg_scaled(depth, 1.0, 0));
+        models.push(vgg::vgg_scaled(depth, 0.5, 0));
+    }
+    models.push(vgg::vgg_scaled(16, 1.0, 1));
+    for depth in [18usize, 34, 50, 101] {
+        models.push(resnet::resnet_scaled(depth, 1.0, 0));
+        models.push(resnet::resnet_scaled(depth, 0.5, 0));
+    }
+    models.push(resnet::resnet_scaled(50, 1.0, 1));
+    for depth in [121usize, 169] {
+        models.push(densenet::densenet_variant(depth, 0));
+    }
+    models.push(densenet::densenet_variant(121, 1));
+    for alpha in [0.5, 1.0] {
+        models.push(mobilenet::mobilenet_v1(alpha, 0));
+        models.push(mobilenet::mobilenet_v2(alpha, 0));
+    }
+    models.push(xception::xception());
+    models.push(xception::xception_variant(1));
+    models.push(inception::inception_v1());
+    models.push(inception::inception_variant(1));
+    models.extend(crate::bert::bert_zoo());
+    models
+}
+
 /// A buildable catalog entry: recipe + metadata, graph built on demand.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelEntry {

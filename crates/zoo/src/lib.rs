@@ -34,7 +34,7 @@ pub mod wideresnet;
 pub mod xception;
 
 pub use bert::{bert, BertConfig, BertSize, BertTask, BertVocab};
-pub use catalog::{catalog, find, imgclsmob_catalog, ModelEntry};
+pub use catalog::{catalog, figure13_models, find, imgclsmob_catalog, ModelEntry};
 pub use gpt::{gpt, gpt_zoo, GptConfig, GptSize, GPT_VOCAB};
 pub use nasbench::{nasbench_model, CellOp, CellSpec, NASBENCH_SPACE_SIZE};
 
