@@ -20,6 +20,8 @@
 //! reproduce the hash-based / resource-usage-based routing the paper says
 //! existing systems use, for the ablation in the evaluation.
 
+#![forbid(unsafe_code)]
+
 mod correlation;
 mod kmedoids;
 mod placement;

@@ -2,6 +2,8 @@
 //! least-loaded placement, all serving the same Azure-style workload under
 //! the Optimus policy.
 
+#![forbid(unsafe_code)]
+
 use optimus_bench::{build_repo, figure13_models, fmt_s, print_table, save_results};
 use optimus_profile::Environment;
 use optimus_sim::{PlacementStrategy, Platform, Policy, SimConfig};

@@ -1,6 +1,8 @@
 //! Ablation — §6 "Fine-grained Resource Allocation": homogeneous container
 //! slots vs a memory-aware byte budget at several node sizes.
 
+#![forbid(unsafe_code)]
+
 use optimus_bench::{build_repo, figure13_models, fmt_s, print_table, save_results};
 use optimus_profile::Environment;
 use optimus_sim::{MemoryLimit, Platform, Policy, SimConfig, StartKind};

@@ -3,6 +3,8 @@
 //! planning cost (registration time) and the resulting online service time
 //! of the Optimus policy.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 use std::time::Instant;
 

@@ -2,6 +2,8 @@
 //! (transform only when cheaper than loading) against "always transform"
 //! and "never transform", measuring average and worst-case start latency.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use optimus_bench::{fmt_s, print_table, save_results};

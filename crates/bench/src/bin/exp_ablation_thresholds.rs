@@ -2,6 +2,8 @@
 //! policy: how donor availability trades off against warm-container
 //! retention.
 
+#![forbid(unsafe_code)]
+
 use optimus_bench::{build_repo, figure13_models, fmt_s, print_table, save_results};
 use optimus_profile::Environment;
 use optimus_sim::{Platform, Policy, SimConfig, StartKind};

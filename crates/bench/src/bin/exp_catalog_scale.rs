@@ -21,6 +21,8 @@
 //! neighbourhood planning mode that keeps 10k-model registration
 //! tractable. Run with `--small` for the CI smoke configuration.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use optimus_bench::{fmt_s, print_table, save_results};

@@ -21,6 +21,8 @@
 //! (byte-identical output at any thread count), `--duration <seconds>`,
 //! `--seed <n>`.
 
+#![forbid(unsafe_code)]
+
 use optimus_bench::sweep::{run_grid, threads_arg};
 use optimus_bench::{build_repo, figure13_models, fmt_s, print_table, save_results};
 use optimus_faults::{FaultPlan, FaultSpec};

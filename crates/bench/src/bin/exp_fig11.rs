@@ -9,6 +9,8 @@
 //! is assembled in index order, so the output is byte-identical at any
 //! thread count.
 
+#![forbid(unsafe_code)]
+
 use optimus_bench::sweep::{run_grid, threads_arg};
 use optimus_bench::{figure11_models, print_table, save_results, transform_latency};
 use optimus_profile::{CostModel, CostProvider};

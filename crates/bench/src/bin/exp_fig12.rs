@@ -1,6 +1,8 @@
 //! Figure 12 — large-scale evaluation: 500 random transformation cases and
 //! 500 scratch loads, for the Imgclsmob-style catalog and for NAS-Bench-201.
 
+#![forbid(unsafe_code)]
+
 use optimus_bench::{fmt_s, print_table, save_results, transform_latency};
 use optimus_profile::{CostModel, CostProvider};
 use rand::rngs::StdRng;

@@ -7,6 +7,8 @@
 //! `--threads <n>` to run the workload × policy grid in parallel (the
 //! output is byte-identical at any thread count).
 
+#![forbid(unsafe_code)]
+
 use optimus_bench::sweep::{run_grid, threads_arg};
 use optimus_bench::{
     build_repo, figure13_models, fmt_pct, fmt_s, print_table, save_results, workloads,

@@ -1,6 +1,8 @@
 //! Figure 14 — percentage of cold start, container/model transformation
 //! and warm start per system under the Poisson and Azure workloads.
 
+#![forbid(unsafe_code)]
+
 use optimus_bench::{
     build_repo, figure13_models, fmt_pct, print_table, run_all_policies, save_results, workloads,
 };

@@ -1,6 +1,8 @@
 //! Figure 15 — latency proportion of each meta-operator for three
 //! inter-function model transformation cases.
 
+#![forbid(unsafe_code)]
+
 use optimus_bench::{fmt_pct, fmt_s, print_table, save_results};
 use optimus_core::{GroupPlanner, Planner};
 use optimus_profile::CostModel;

@@ -3,6 +3,8 @@
 //! Same setup as Figure 13 but the nodes carry the GPU environment
 //! profile: higher runtime-init and load costs, faster compute.
 
+#![forbid(unsafe_code)]
+
 use optimus_bench::{
     build_repo, figure13_models, fmt_pct, fmt_s, print_table, run_all_policies, save_results,
     workloads,

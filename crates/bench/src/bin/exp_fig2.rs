@@ -2,6 +2,8 @@
 //! inference: per-step latency, step percentages, and the params/size
 //! table (Figure 2c).
 
+#![forbid(unsafe_code)]
+
 use optimus_bench::{fmt_pct, fmt_s, print_table, save_results};
 use optimus_profile::{CostModel, CostProvider, Environment, PlatformProfile};
 

@@ -1,6 +1,8 @@
 //! Figure 3 — latency of each model-loading step (deserialize / structure
 //! / weight assignment) for 100 models from the Imgclsmob-style catalog.
 
+#![forbid(unsafe_code)]
+
 use optimus_bench::{fmt_pct, print_table, save_results};
 use optimus_profile::{CostModel, CostProvider};
 

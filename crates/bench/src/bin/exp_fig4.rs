@@ -1,6 +1,8 @@
 //! Figure 4 — loading latency for varying operations in ResNet50:
 //! per-kind means plus the CONV shape sweep the paper highlights.
 
+#![forbid(unsafe_code)]
+
 use optimus_bench::{fmt_s, print_table, save_results};
 use optimus_model::{OpAttrs, Padding};
 use optimus_profile::{CostModel, CostProvider, Profiler};

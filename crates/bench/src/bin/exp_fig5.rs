@@ -2,6 +2,8 @@
 //! start; (c) the CONV kernel-scaling matrix (load diagonal vs reshape
 //! off-diagonals).
 
+#![forbid(unsafe_code)]
+
 use optimus_bench::{fmt_pct, fmt_s, print_table, save_results};
 use optimus_core::{GroupPlanner, Planner};
 use optimus_model::{OpAttrs, Padding};

@@ -1,6 +1,8 @@
 //! Figure 8 — execution time of varying meta-operators, profiled over the
 //! ResNet50/ResNet101 operation population (§4.4 Module 1).
 
+#![forbid(unsafe_code)]
+
 use optimus_bench::{print_table, save_results};
 use optimus_profile::{CostModel, Profiler};
 

@@ -28,6 +28,8 @@
 //!
 //! Run with `--small` for the CI configuration.
 
+#![forbid(unsafe_code)]
+
 use std::collections::{HashMap, HashSet};
 
 use optimus_bench::sweep::{run_grid, threads_arg};

@@ -18,6 +18,8 @@
 //!
 //! Run with `--small` for the CI configuration (tiny catalog, 2 threads).
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;

@@ -27,6 +27,8 @@
 //! (byte-identical output at any thread count), `--duration <seconds>`
 //! (diurnal trace length), `--seed <n>`.
 
+#![forbid(unsafe_code)]
+
 use optimus_bench::sweep::{run_grid, threads_arg};
 use optimus_bench::{build_repo, figure13_models, fmt_pct, fmt_s, print_table, save_results};
 use optimus_model::ModelGraph;

@@ -20,6 +20,8 @@
 //! Optional args: `--small` (CI configuration), `--threads <n>`,
 //! `--duration <seconds>`, `--seed <n>`.
 
+#![forbid(unsafe_code)]
+
 use optimus_bench::sweep::{run_grid, threads_arg};
 use optimus_bench::{build_repo, figure13_models, fmt_s, print_table, save_results};
 use optimus_fleet::{plan_multicast, remote_only_seconds, FleetConfig};

@@ -33,6 +33,8 @@
 //!
 //! Optional args: `--small` (CI configuration), `--duration <seconds>`.
 
+#![forbid(unsafe_code)]
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;

@@ -21,6 +21,8 @@
 //! bandwidth sweep cells in parallel (byte-identical output at any
 //! thread count).
 
+#![forbid(unsafe_code)]
+
 use optimus_bench::sweep::{run_grid, threads_arg};
 use optimus_bench::{figure11_models, fmt_s, print_table, save_results};
 use optimus_model::ModelGraph;

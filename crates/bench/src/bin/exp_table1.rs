@@ -9,6 +9,8 @@
 //! costs are deterministic at any thread count; `planning_seconds` is
 //! wall clock and naturally varies run to run.
 
+#![forbid(unsafe_code)]
+
 use optimus_bench::sweep::{run_grid, threads_arg};
 use optimus_bench::{print_table, save_results};
 use optimus_core::{GroupPlanner, MunkresPlanner, Planner};

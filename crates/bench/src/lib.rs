@@ -23,6 +23,8 @@
 //! paper-style table to stdout and appends machine-readable JSON to
 //! `results/<exp>.json` when a `results/` directory exists.
 
+#![forbid(unsafe_code)]
+
 pub mod sweep;
 
 use std::sync::Arc;

@@ -56,6 +56,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod artifact;
 mod cache;
 mod chunks;

@@ -38,6 +38,8 @@
 //! [`FaultReport`] aggregate what was injected and what the resilience
 //! machinery did about it.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};

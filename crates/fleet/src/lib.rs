@@ -27,6 +27,8 @@
 //! [`FleetReport`] is the run-level summary the simulator embeds in its
 //! `SimReport` (omitted entirely when the fleet layer is disabled).
 
+#![forbid(unsafe_code)]
+
 mod autoscaler;
 mod config;
 mod multicast;

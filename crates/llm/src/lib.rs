@@ -25,6 +25,8 @@
 //! serving paths behind `SimConfig::llm` (off = byte-identical legacy
 //! behavior), and `exp_llm_transform` is the payoff experiment.
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod engine;
 mod report;

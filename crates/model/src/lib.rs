@@ -34,6 +34,8 @@
 //! assert!(model.validate().is_ok());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod builder;
 mod error;
 mod graph;

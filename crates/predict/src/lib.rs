@@ -38,6 +38,8 @@
 //! path byte-for-byte; the live gateway drives it with real arrivals and
 //! exports `optimus_predict_*` metrics.
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod histogram;
 mod predictor;

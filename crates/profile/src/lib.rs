@@ -30,6 +30,8 @@
 //! calibrated implementation, parameterised by an [`Environment`]
 //! (CPU or GPU — Figure 16).
 
+#![forbid(unsafe_code)]
+
 mod cost;
 mod env;
 mod online;

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, TrySendError};
+use crossbeam::channel::{bounded, unbounded, TrySendError};
 use optimus_balance::failover_node;
 use optimus_core::{GroupPlanner, ModelRepository, PlanArtifact};
 use optimus_faults::{FaultInjector, FaultPlan, RequestFaults, RetryPolicy};
@@ -22,6 +22,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::api::{DecodeResponse, GatewayConfig, InferenceResponse, ServeError};
 use crate::predict::PredictShared;
+use crate::reply::{reply_cell, Reply, ReplyCell};
 use crate::worker::{run_worker, ControlItem, InferItem};
 
 /// Channels and gauges of one live worker node.
@@ -541,11 +542,11 @@ impl Gateway {
                 Err(e @ ServeError::Overloaded(_)) => return Err(e),
                 Err(ServeError::Shutdown) => return Err(ServeError::Shutdown),
                 Err(e) => last_err = e,
-                Ok((node, reply_rx)) => match reply_rx.recv() {
-                    Ok(result) => return result,
+                Ok((node, reply)) => match reply.wait() {
+                    Some(result) => return result,
                     // The worker died mid-request: mark the node down and
                     // try a different one after backing off.
-                    Err(_) => {
+                    None => {
                         self.mark_down(node);
                         last_err = ServeError::Unavailable(format!("node {node} did not reply"));
                     }
@@ -585,7 +586,7 @@ impl Gateway {
     }
 
     /// Route one attempt and enqueue it on the routed node's bounded
-    /// queue. Returns the node id and the reply channel.
+    /// queue. Returns the node id and the reply cell.
     ///
     /// # Errors
     ///
@@ -599,22 +600,25 @@ impl Gateway {
         input: &Tensor,
         fail_transform: bool,
         kill: bool,
-    ) -> Result<(usize, Receiver<Result<InferenceResponse, ServeError>>), ServeError> {
+    ) -> Result<(usize, ReplyCell), ServeError> {
         let home = self.placement[model_id.index()];
         let workers = self.workers.read();
         // Down or drained nodes are skipped; `workers` is read-locked so
-        // the fleet cannot change shape mid-decision.
-        let healthy: Vec<bool> = {
+        // the fleet cannot change shape mid-decision. Degraded routing
+        // falls over to the lowest-indexed healthy node; queue pressure on
+        // the home node is an admission rejection, not a reroute, so
+        // placement locality is preserved.
+        let routed = {
             let now = Instant::now();
             let down = self.down_until.lock();
-            (0..workers.len())
-                .map(|n| workers[n].is_some() && down[n] <= now)
-                .collect()
+            failover_node(
+                home,
+                workers.len(),
+                |n| workers[n].is_some() && down[n] <= now,
+                |_| 0.0,
+            )
         };
-        // Degraded routing falls over to the lowest-indexed healthy node;
-        // queue pressure on the home node is an admission rejection, not
-        // a reroute, so placement locality is preserved.
-        let Some(node) = failover_node(home, workers.len(), |n| healthy[n], |_| 0.0) else {
+        let Some(node) = routed else {
             return Err(ServeError::Unavailable(format!(
                 "all {} nodes are marked down",
                 workers.len()
@@ -628,7 +632,7 @@ impl Gateway {
             self.injected_kills.inc();
             let _ = handle.ctrl.send(ControlItem::Kill);
         }
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply) = reply_cell();
         let item = InferItem {
             model_id,
             input: input.clone(),
@@ -639,7 +643,7 @@ impl Gateway {
         match handle.infer.try_send(item) {
             Ok(()) => {
                 handle.depth.add(1.0);
-                Ok((node, reply_rx))
+                Ok((node, reply))
             }
             Err(TrySendError::Full(_)) => {
                 self.rejected.inc();
@@ -665,13 +669,13 @@ impl Gateway {
     /// and [`ServeError::UnknownModel`] surface immediately.
     pub fn submit(&self, model: &str, input: Tensor) -> Result<PendingInference, ServeError> {
         let (model_id, fx) = self.admit(model)?;
-        let (node, rx) =
+        let (node, reply) =
             self.enqueue_once(model_id, &input, fx.transform_failure, fx.container_kill)?;
         Ok(PendingInference {
             model_id,
             input,
             attempt: 0,
-            state: PendingState::Waiting { node, rx },
+            state: PendingState::Waiting { node, reply },
         })
     }
 
@@ -686,10 +690,10 @@ impl Gateway {
         let max_attempts = self.retry.max_attempts.max(1);
         loop {
             match &mut pending.state {
-                PendingState::Waiting { node, rx } => match rx.recv_timeout(Duration::ZERO) {
-                    Ok(result) => return Some(result),
-                    Err(RecvTimeoutError::Timeout) => return None,
-                    Err(RecvTimeoutError::Disconnected) => {
+                PendingState::Waiting { node, reply } => match reply.try_take() {
+                    Reply::Ready(result) => return Some(result),
+                    Reply::Pending => return None,
+                    Reply::Disconnected => {
                         let node = *node;
                         self.mark_down(node);
                         pending.attempt += 1;
@@ -710,7 +714,7 @@ impl Gateway {
                         return None;
                     }
                     match self.enqueue_once(pending.model_id, &pending.input, false, false) {
-                        Ok((node, rx)) => pending.state = PendingState::Waiting { node, rx },
+                        Ok((node, reply)) => pending.state = PendingState::Waiting { node, reply },
                         Err(e @ ServeError::Overloaded(_)) | Err(e @ ServeError::Shutdown) => {
                             return Some(Err(e))
                         }
@@ -981,7 +985,7 @@ impl Gateway {
 pub type InferenceResult = Result<InferenceResponse, ServeError>;
 
 /// An in-flight request created by [`Gateway::submit`] and driven by
-/// [`Gateway::poll`]. Holds the reply channel of the attempt currently
+/// [`Gateway::poll`]. Holds the reply cell of the attempt currently
 /// enqueued (or the instant a retry backoff expires) plus everything
 /// needed to re-enqueue on another node if the serving worker dies.
 pub struct PendingInference {
@@ -992,12 +996,29 @@ pub struct PendingInference {
     state: PendingState,
 }
 
+impl PendingInference {
+    /// The reply cell of the attempt in flight, while waiting on one:
+    /// [`Gateway::poll`] can make progress once it completes.
+    pub(crate) fn reply_cell(&self) -> Option<ReplyCell> {
+        match &self.state {
+            PendingState::Waiting { reply, .. } => Some(reply.clone()),
+            PendingState::Backoff { .. } => None,
+        }
+    }
+
+    /// When the retry backoff ends, while waiting one out:
+    /// [`Gateway::poll`] re-enqueues the request from then on.
+    pub(crate) fn retry_at(&self) -> Option<Instant> {
+        match self.state {
+            PendingState::Backoff { until } => Some(until),
+            PendingState::Waiting { .. } => None,
+        }
+    }
+}
+
 enum PendingState {
-    /// Enqueued on `node`; the worker replies on `rx`.
-    Waiting {
-        node: usize,
-        rx: Receiver<InferenceResult>,
-    },
+    /// Enqueued on `node`; the worker replies through `reply`.
+    Waiting { node: usize, reply: ReplyCell },
     /// Waiting out a retry backoff without blocking the caller.
     Backoff { until: Instant },
 }
@@ -1037,5 +1058,63 @@ impl Drop for Gateway {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reply::reply_cell;
+    use optimus_model::GraphBuilder;
+    use std::sync::atomic::AtomicUsize;
+
+    fn gateway() -> Gateway {
+        let mut b = GraphBuilder::new("m");
+        let x = b.input([1, 3, 8, 8]);
+        let _ = b.conv2d_after(x, 3, 4, (3, 3), (1, 1), 1);
+        Gateway::builder(GatewayConfig {
+            nodes: 1,
+            store: None,
+            ..GatewayConfig::default()
+        })
+        .metrics(Arc::new(MetricsRegistry::new()))
+        .register(b.finish().unwrap())
+        .spawn()
+    }
+
+    #[test]
+    fn a_worker_dying_unsent_wakes_the_waiter_once_and_poll_retries_then_gives_up() {
+        let gw = gateway();
+        let (tx, reply) = reply_cell();
+        let mut pending = PendingInference {
+            model_id: gw.repo.model_id("m").unwrap(),
+            input: Tensor::zeros([1, 3, 8, 8]),
+            attempt: 0,
+            state: PendingState::Waiting { node: 0, reply },
+        };
+        let fired = Arc::new(AtomicUsize::new(0));
+        let f = fired.clone();
+        pending.reply_cell().unwrap().on_complete(Box::new(move || {
+            f.fetch_add(1, Ordering::SeqCst);
+        }));
+        assert!(gw.poll(&mut pending).is_none(), "no reply yet");
+        assert_eq!(fired.load(Ordering::SeqCst), 0);
+        drop(tx); // the worker died without replying
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+        // The death marks the node down and backs off before a retry.
+        assert!(gw.poll(&mut pending).is_none());
+        assert!(pending.retry_at().is_some());
+        assert!(pending.reply_cell().is_none());
+        assert_eq!(gw.healthy_nodes(), vec![false]);
+        // With the retry budget spent, the same death is final.
+        let (tx, reply) = reply_cell();
+        pending.attempt = gw.retry.max_attempts - 1;
+        pending.state = PendingState::Waiting { node: 0, reply };
+        drop(tx);
+        assert!(matches!(
+            gw.poll(&mut pending),
+            Some(Err(ServeError::Unavailable(_)))
+        ));
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
     }
 }

@@ -7,16 +7,20 @@
 //! ([`HttpConfig::mode`]):
 //!
 //! - [`FrontendMode::Pooled`] (default) — the production serving core.
-//!   A few accept shards hand persistent keep-alive connections to a
-//!   poller thread; connections with readable bytes (or a finished
-//!   inference) are dispatched to a fixed pool of HTTP workers that
-//!   parse pipelined requests incrementally from a reusable
-//!   per-connection buffer ([`crate::parser`]). Workers *never block on
-//!   inference*: `POST /infer` goes through [`Gateway::submit`] and the
-//!   connection is parked on the pending reply, so `GET /healthz` and
-//!   `GET /metrics` stay responsive even when every worker queue is
-//!   saturated (admission control answers `429` immediately, and an
-//!   ops lane serves health endpoints past the connection budget).
+//!   **Connection model:** one poller thread blocks in `poll(2)` on the
+//!   listener, every parked idle connection and a wake socket, with the
+//!   nearest real deadline (read stall, keep-alive idle, retry backoff)
+//!   as its timeout — no fixed tick. It accepts new connections and
+//!   dispatches only the connections the kernel reports ready to a fixed
+//!   pool of HTTP workers, which parse pipelined requests incrementally
+//!   from a reusable per-connection buffer ([`crate::parser`]).
+//!   **Workers never block on inference:** `POST /infer` goes through
+//!   [`Gateway::submit`] and the connection moves into a waker on the
+//!   request's reply cell; the worker node's reply (or its death) pushes
+//!   it straight back onto the workers' ready queue. So `GET /healthz`
+//!   and `GET /metrics` stay responsive even when every worker queue is
+//!   saturated (admission control answers `429` immediately, and an ops
+//!   lane serves health endpoints past the connection budget).
 //! - [`FrontendMode::ThreadPerConn`] — the original one-OS-thread per
 //!   `Connection: close` exchange, kept as the load-generator baseline.
 //!
@@ -48,27 +52,32 @@
 //! silent client cannot pin resources forever: a connection that goes
 //! quiet mid-request gets a `408 Request Timeout`; an idle keep-alive
 //! connection past [`HttpConfig::keep_alive_idle`] is closed silently.
+//!
+//! The pooled front end is Unix-only: it waits on `poll(2)` and wakes
+//! its poller through a Unix socket pair.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use optimus_model::tensor::Tensor;
 
 use crate::api::{InferenceResponse, ServeError};
 use crate::gateway::{Gateway, InferenceResult, PendingInference};
 use crate::parser::{parse_request, ParseOutcome, ParserLimits};
+use crate::sys::{self, PollFd};
 
 /// How the front end maps connections to OS threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrontendMode {
-    /// Sharded accept loops + poller + fixed worker pool over
-    /// keep-alive connections (the production path).
+    /// A `poll(2)` event loop + fixed worker pool over keep-alive
+    /// connections (the production path).
     Pooled,
     /// One OS thread per `Connection: close` exchange (the original
     /// front end, kept as the load-generator baseline).
@@ -86,8 +95,6 @@ pub struct HttpConfig {
     pub write_timeout: Option<Duration>,
     /// Front-end threading model.
     pub mode: FrontendMode,
-    /// Accept-loop shards feeding the pooled front end.
-    pub accept_shards: usize,
     /// Fixed HTTP worker pool size (parsing + response writing; never
     /// blocks on inference).
     pub http_workers: usize,
@@ -111,7 +118,6 @@ impl Default for HttpConfig {
             read_timeout: Some(Duration::from_secs(10)),
             write_timeout: Some(Duration::from_secs(10)),
             mode: FrontendMode::Pooled,
-            accept_shards: 2,
             http_workers: 8,
             max_connections: 1024,
             max_header_bytes: 16 * 1024,
@@ -125,6 +131,9 @@ impl Default for HttpConfig {
 pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    /// The pooled front end's shared state, to wake its threads at
+    /// shutdown (`None` in thread-per-connection mode).
+    pooled: Option<Arc<Shared>>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -153,22 +162,26 @@ impl HttpServer {
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
         listener.set_nonblocking(true).map_err(|e| e.to_string())?;
         let stop = Arc::new(AtomicBool::new(false));
-        let handles = match config.mode {
-            FrontendMode::ThreadPerConn => {
+        let (pooled, handles) = match config.mode {
+            FrontendMode::ThreadPerConn => (
+                None,
                 vec![spawn_legacy_acceptor(
                     listener,
                     gateway,
                     config,
                     stop.clone(),
-                )]
-            }
+                )],
+            ),
             FrontendMode::Pooled => {
-                spawn_pooled(listener, gateway, config, stop.clone()).map_err(|e| e.to_string())?
+                let (shared, handles) = spawn_pooled(listener, gateway, config, stop.clone())
+                    .map_err(|e| e.to_string())?;
+                (Some(shared), handles)
             }
         };
         Ok(HttpServer {
             addr,
             stop,
+            pooled,
             handles,
         })
     }
@@ -178,13 +191,18 @@ impl HttpServer {
         self.addr
     }
 
-    /// Stop accepting connections and join the serving threads.
+    /// Stop accepting connections and join the serving threads. The
+    /// pooled front end returns promptly: its poller is woken through
+    /// the wake socket and idle HTTP workers through the ready queue.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        match &self.pooled {
+            Some(shared) => shared.shut_down(),
+            None => self.stop.store(true, Ordering::SeqCst),
+        }
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -233,7 +251,7 @@ fn is_timeout(e: &std::io::Error) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Pooled front end: accept shards → poller → ready queue → worker pool.
+// Pooled front end: poll(2) event loop → ready queue → worker pool.
 // ---------------------------------------------------------------------
 
 /// Pipelined requests a worker serves from one connection before
@@ -241,19 +259,19 @@ fn is_timeout(e: &std::io::Error) -> bool {
 const REQUEST_BUDGET: usize = 32;
 
 /// One persistent client connection. Travels between the poller (while
-/// waiting for bytes or an inference reply) and HTTP workers (while
-/// parsing and responding); the buffer is reused across requests.
+/// waiting for bytes or a retry deadline), a reply cell's waker (while
+/// waiting for an inference) and HTTP workers (while parsing and
+/// responding); the buffer is reused across requests.
 struct Conn {
     stream: TcpStream,
     /// Unparsed received bytes (grows across fragmented reads, drained
     /// per parsed request).
     buf: Vec<u8>,
-    /// Last instant bytes arrived (stall/idle accounting).
+    /// Last instant bytes arrived or a response went out (stall/idle
+    /// accounting).
     last_activity: Instant,
     /// In-flight inference this connection is parked on.
     pending: Option<PendingInference>,
-    /// Finished inference outcome awaiting response serialization.
-    ready_result: Option<InferenceResult>,
     /// Keep-alive flag of the request that produced `pending`.
     keep_alive_after_reply: bool,
     /// Poller verdict: the client stalled mid-request (`408` + close).
@@ -262,73 +280,193 @@ struct Conn {
     /// new client, which deserves a `408`, from an idle keep-alive
     /// connection, which is closed silently).
     served: u64,
+    /// This connection's share of the `max_connections` budget, given
+    /// back wherever the connection is dropped.
+    _slot: ConnSlot,
+}
+
+/// One unit of the pooled front end's connection budget.
+struct ConnSlot(Arc<AtomicUsize>);
+
+impl ConnSlot {
+    fn take(conns: &Arc<AtomicUsize>) -> ConnSlot {
+        conns.fetch_add(1, Ordering::Relaxed);
+        ConnSlot(conns.clone())
+    }
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// What the poller does once a parked connection's deadline passes.
+enum Expiry {
+    /// Silent mid-request (or since connecting): answer `408`, close.
+    Stall,
+    /// Idle between requests past `keep_alive_idle`: close silently.
+    Idle,
+    /// A retry backoff ended: a worker's [`Gateway::poll`] re-enqueues
+    /// the inference.
+    Retry,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    fn new(stream: TcpStream, slot: ConnSlot) -> Conn {
         Conn {
             stream,
             buf: Vec::with_capacity(1024),
             last_activity: Instant::now(),
             pending: None,
-            ready_result: None,
             keep_alive_after_reply: true,
             stalled: false,
             served: 0,
+            _slot: slot,
+        }
+    }
+
+    /// When the poller must act on this parked connection without a
+    /// socket event, and what it does then.
+    fn deadline(&self, config: &HttpConfig) -> Option<(Instant, Expiry)> {
+        if let Some(pending) = &self.pending {
+            return pending.retry_at().map(|at| (at, Expiry::Retry));
+        }
+        if !self.buf.is_empty() || self.served == 0 {
+            // Mid-request (or never sent anything): the read timeout is
+            // the stall deadline, answered with a 408.
+            let at = self.last_activity.checked_add(config.read_timeout?)?;
+            Some((at, Expiry::Stall))
+        } else {
+            let at = self.last_activity.checked_add(config.keep_alive_idle)?;
+            Some((at, Expiry::Idle))
         }
     }
 }
 
-/// MPMC hand-off from the poller to the HTTP workers. The crossbeam
-/// shim's `Receiver` is single-consumer, so the multi-consumer ready
-/// queue is a mutex-protected deque with a condvar.
+/// MPMC hand-off to the HTTP workers, fed by the poller and by reply-cell
+/// wakers. The crossbeam shim's `Receiver` is single-consumer, so the
+/// multi-consumer ready queue is a mutex-protected deque with a condvar.
 struct ReadyQueue {
-    inner: std::sync::Mutex<VecDeque<Conn>>,
-    cv: std::sync::Condvar,
+    inner: Mutex<Ready>,
+    cv: Condvar,
+}
+
+struct Ready {
+    conns: VecDeque<Conn>,
+    /// Set at shutdown: later pushes close their connection.
+    closed: bool,
 }
 
 impl ReadyQueue {
     fn new() -> ReadyQueue {
         ReadyQueue {
-            inner: std::sync::Mutex::new(VecDeque::new()),
-            cv: std::sync::Condvar::new(),
+            inner: Mutex::new(Ready {
+                conns: VecDeque::new(),
+                closed: false,
+            }),
+            cv: Condvar::new(),
         }
     }
 
+    /// Every update leaves the queue valid, so a poisoned guard is
+    /// recovered: reply-cell wakers push from `Drop` and must not panic.
+    fn lock(&self) -> MutexGuard<'_, Ready> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn push(&self, conn: Conn) {
-        self.inner
-            .lock()
-            .expect("ready queue poisoned")
-            .push_back(conn);
+        let mut ready = self.lock();
+        if ready.closed {
+            return; // the server is shutting down: `conn` closes
+        }
+        ready.conns.push_back(conn);
+        drop(ready);
         self.cv.notify_one();
     }
 
-    fn pop_timeout(&self, timeout: Duration) -> Option<Conn> {
-        let guard = self.inner.lock().expect("ready queue poisoned");
-        let (mut guard, _) = self
+    /// Block until a connection is ready; `None` once the queue closed.
+    fn pop(&self) -> Option<Conn> {
+        let ready = self.lock();
+        let mut ready = self
             .cv
-            .wait_timeout_while(guard, timeout, |q| q.is_empty())
-            .expect("ready queue poisoned");
-        guard.pop_front()
+            .wait_while(ready, |r| r.conns.is_empty() && !r.closed)
+            .unwrap_or_else(PoisonError::into_inner);
+        ready.conns.pop_front()
+    }
+
+    /// Close queued connections, refuse later pushes and release every
+    /// waiting worker.
+    fn close(&self) {
+        let queued = {
+            let mut ready = self.lock();
+            ready.closed = true;
+            std::mem::take(&mut ready.conns)
+        };
+        drop(queued);
+        self.cv.notify_all();
+    }
+}
+
+/// The poller's wake socket. `poll(2)` watches the read end, so a byte
+/// written to the other end ends its wait. Wakes coalesce: one byte
+/// stands for every wake until the poller resets it.
+struct Wake {
+    tx: UnixStream,
+    rx: UnixStream,
+    armed: AtomicBool,
+}
+
+impl Wake {
+    fn new() -> std::io::Result<Wake> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Wake {
+            tx,
+            rx,
+            armed: AtomicBool::new(false),
+        })
+    }
+
+    fn wake(&self) {
+        if !self.armed.swap(true, Ordering::SeqCst) {
+            // Only a full socket buffer fails, and that wakes the poller.
+            let _ = (&self.tx).write(&[1]);
+        }
+    }
+
+    /// Poller side, before it takes what the wakers handed over: drain,
+    /// then disarm. A wake after the disarm writes a byte that stays for
+    /// the next `poll`; one before it found the flag armed and wrote
+    /// nothing, and this swap makes its hand-over visible to the poller.
+    fn reset(&self) {
+        let mut sink = [0u8; 64];
+        while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
+        self.armed.swap(false, Ordering::SeqCst);
     }
 }
 
 /// State shared by every pooled front-end thread.
-#[derive(Clone)]
 struct Shared {
     gateway: Arc<Gateway>,
     config: HttpConfig,
     stop: Arc<AtomicBool>,
-    /// Connections handed (back) to the poller.
+    /// Connections handed (back) to the poller, each followed by a wake.
     park_tx: Sender<Conn>,
+    wake: Wake,
     ready: Arc<ReadyQueue>,
     /// Live pooled connections (admission against `max_connections`).
     conns: Arc<AtomicUsize>,
 }
 
-fn close_conn(conn: Conn, conns: &AtomicUsize) {
-    drop(conn);
-    conns.fetch_sub(1, Ordering::Relaxed);
+impl Shared {
+    /// Stop the poller, the HTTP workers and, through them, the ops lane.
+    fn shut_down(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.wake.wake();
+        self.ready.close();
+    }
 }
 
 fn spawn_pooled(
@@ -336,30 +474,25 @@ fn spawn_pooled(
     gateway: Arc<Gateway>,
     config: HttpConfig,
     stop: Arc<AtomicBool>,
-) -> std::io::Result<Vec<JoinHandle<()>>> {
+) -> std::io::Result<(Arc<Shared>, Vec<JoinHandle<()>>)> {
     let (park_tx, park_rx) = unbounded::<Conn>();
     let (ops_tx, ops_rx) = unbounded::<TcpStream>();
-    let shared = Shared {
+    let shared = Arc::new(Shared {
         gateway,
         config,
         stop,
         park_tx,
+        wake: Wake::new()?,
         ready: Arc::new(ReadyQueue::new()),
         conns: Arc::new(AtomicUsize::new(0)),
-    };
+    });
     let mut handles = Vec::new();
-    for _ in 0..config.accept_shards.max(1) {
-        let shard = listener.try_clone()?;
-        let s = shared.clone();
-        let ops = ops_tx.clone();
-        handles.push(std::thread::spawn(move || {
-            run_accept_shard(shard, &s, &ops)
-        }));
-    }
-    drop(ops_tx);
     {
+        // The poller owns the ops lane's only sender: the lane ends with it.
         let s = shared.clone();
-        handles.push(std::thread::spawn(move || run_poller(&s, &park_rx)));
+        handles.push(std::thread::spawn(move || {
+            run_poller(&s, &listener, &park_rx, &ops_tx)
+        }));
     }
     for _ in 0..config.http_workers.max(1) {
         let s = shared.clone();
@@ -369,122 +502,148 @@ fn spawn_pooled(
         let s = shared.clone();
         handles.push(std::thread::spawn(move || run_ops_lane(&s, &ops_rx)));
     }
-    Ok(handles)
+    Ok((shared, handles))
 }
 
-fn run_accept_shard(listener: TcpListener, shared: &Shared, ops_tx: &Sender<TcpStream>) {
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(shared.config.read_timeout);
-                let _ = stream.set_write_timeout(shared.config.write_timeout);
-                if shared.conns.load(Ordering::Relaxed) >= shared.config.max_connections {
-                    // Past the connection budget, operators must still be
-                    // able to observe the gateway: the ops lane answers
-                    // health endpoints and 503s inference.
-                    let _ = ops_tx.send(stream);
-                    continue;
-                }
-                shared.conns.fetch_add(1, Ordering::Relaxed);
-                let _ = stream.set_nonblocking(true);
-                if let Err(e) = shared.park_tx.send(Conn::new(stream)) {
-                    close_conn(e.0, &shared.conns);
-                }
-            }
-            Err(ref e) if is_timeout(e) => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-enum PollAction {
-    Keep,
-    Dispatch,
-    Close,
-}
-
-fn poll_conn(conn: &mut Conn, shared: &Shared, now: Instant) -> PollAction {
-    if let Some(p) = conn.pending.as_mut() {
-        // Parked on an inference; the worker queue replies through the
-        // gateway. Readable pipelined bytes stay in the socket buffer
-        // until the reply is written (responses keep request order).
-        if let Some(result) = shared.gateway.poll(p) {
-            conn.pending = None;
-            conn.ready_result = Some(result);
-            return PollAction::Dispatch;
-        }
-        return PollAction::Keep;
-    }
-    let mut probe = [0u8; 1];
-    match conn.stream.peek(&mut probe) {
-        Ok(0) => PollAction::Close,
-        Ok(_) => PollAction::Dispatch,
-        Err(ref e) if is_timeout(e) => {
-            let quiet = now.saturating_duration_since(conn.last_activity);
-            if !conn.buf.is_empty() || conn.served == 0 {
-                // Mid-request (or never sent anything): the read timeout
-                // is the stall deadline, answered with a 408.
-                match shared.config.read_timeout {
-                    Some(limit) if quiet > limit => {
-                        conn.stalled = true;
-                        PollAction::Dispatch
-                    }
-                    _ => PollAction::Keep,
-                }
-            } else if quiet > shared.config.keep_alive_idle {
-                PollAction::Close
-            } else {
-                PollAction::Keep
-            }
-        }
-        Err(_) => PollAction::Close,
-    }
-}
-
-fn run_poller(shared: &Shared, park_rx: &Receiver<Conn>) {
+/// The event loop. It blocks in `poll(2)` on the listener, the wake
+/// socket and every parked connection waiting for bytes, with the
+/// nearest deadline as the timeout, then dispatches exactly what is due:
+/// readable connections to the workers, expired deadlines per
+/// [`Expiry`], and new connections into the parked set.
+fn run_poller(
+    shared: &Shared,
+    listener: &TcpListener,
+    park_rx: &Receiver<Conn>,
+    ops_tx: &Sender<TcpStream>,
+) {
     let mut parked: Vec<Conn> = Vec::new();
-    while !shared.stop.load(Ordering::Relaxed) {
+    let mut fds: Vec<PollFd> = Vec::new();
+    loop {
         while let Some(conn) = park_rx.try_recv() {
             parked.push(conn);
         }
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
         let now = Instant::now();
-        let mut i = 0;
-        while i < parked.len() {
-            match poll_conn(&mut parked[i], shared, now) {
-                PollAction::Keep => i += 1,
-                PollAction::Dispatch => shared.ready.push(parked.swap_remove(i)),
-                PollAction::Close => close_conn(parked.swap_remove(i), &shared.conns),
+        let next = parked
+            .iter()
+            .filter_map(|c| c.deadline(&shared.config))
+            .map(|(at, _)| at)
+            .min();
+        fds.clear();
+        fds.push(PollFd::readable(listener));
+        fds.push(PollFd::readable(&shared.wake.rx));
+        // A connection waiting out a retry backoff has no socket
+        // interest: pipelined bytes wait until its reply is written.
+        fds.extend(parked.iter().map(|c| match c.pending {
+            Some(_) => PollFd::ignored(),
+            None => PollFd::readable(&c.stream),
+        }));
+        let timeout = next.map(|at| at.saturating_duration_since(now));
+        // `poll` fails only for a bad array (impossible: every fd is a
+        // live socket this loop owns) or when the kernel is out of memory.
+        if sys::wait(&mut fds, timeout).is_err() {
+            break;
+        }
+        if fds[1].ready() {
+            shared.wake.reset();
+        }
+        let now = Instant::now();
+        // Back to front, so `swap_remove` only moves connections already
+        // visited and `fds` stays aligned with `parked`.
+        for i in (0..parked.len()).rev() {
+            if fds[i + 2].ready() {
+                shared.ready.push(parked.swap_remove(i));
+                continue;
+            }
+            let Some((at, expiry)) = parked[i].deadline(&shared.config) else {
+                continue;
+            };
+            if at > now {
+                continue;
+            }
+            let mut conn = parked.swap_remove(i);
+            match expiry {
+                Expiry::Stall => {
+                    conn.stalled = true;
+                    shared.ready.push(conn);
+                }
+                Expiry::Retry => shared.ready.push(conn),
+                Expiry::Idle => drop(conn),
             }
         }
-        std::thread::sleep(Duration::from_micros(500));
+        if fds[0].ready() {
+            accept_ready(listener, shared, &mut parked, ops_tx);
+        }
     }
-    for conn in parked.drain(..) {
-        close_conn(conn, &shared.conns);
+}
+
+/// Accept every pending connection. Within the `max_connections` budget
+/// a connection is parked until its first bytes arrive; past it, the ops
+/// lane answers it.
+fn accept_ready(
+    listener: &TcpListener,
+    shared: &Shared,
+    parked: &mut Vec<Conn>,
+    ops_tx: &Sender<TcpStream>,
+) {
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            // Drained (`WouldBlock`), or failed (e.g. out of file
+            // descriptors) until the next readiness.
+            Err(_) => return,
+        };
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_read_timeout(shared.config.read_timeout);
+        let _ = stream.set_write_timeout(shared.config.write_timeout);
+        if shared.conns.load(Ordering::Relaxed) >= shared.config.max_connections {
+            // Past the connection budget, operators must still be able to
+            // observe the gateway: the ops lane answers health endpoints
+            // and 503s inference, one blocking exchange at a time.
+            let _ = stream.set_nonblocking(false);
+            let _ = ops_tx.send(stream);
+            continue;
+        }
+        let _ = stream.set_nonblocking(true);
+        parked.push(Conn::new(stream, ConnSlot::take(&shared.conns)));
     }
 }
 
 fn run_http_worker(shared: &Shared) {
-    while !shared.stop.load(Ordering::Relaxed) {
-        let Some(mut conn) = shared.ready.pop_timeout(Duration::from_millis(25)) else {
-            continue;
-        };
+    while let Some(mut conn) = shared.ready.pop() {
         match serve_conn(&mut conn, shared) {
-            Disposition::Park => {
-                if let Err(e) = shared.park_tx.send(conn) {
-                    close_conn(e.0, &shared.conns);
-                }
-            }
+            Disposition::Park => park(conn, shared),
             Disposition::Requeue => shared.ready.push(conn),
-            Disposition::Close => close_conn(conn, &shared.conns),
+            Disposition::Close => drop(conn),
+        }
+    }
+}
+
+/// Park `conn` until it has something to do. Waiting on an inference
+/// reply, it moves into the reply cell's waker, which pushes it back onto
+/// the ready queue when the worker node replies or dies. Otherwise
+/// (waiting for bytes or a retry deadline) it goes to the poller.
+fn park(conn: Conn, shared: &Shared) {
+    match conn.pending.as_ref().and_then(PendingInference::reply_cell) {
+        Some(reply) => {
+            let ready = shared.ready.clone();
+            reply.on_complete(Box::new(move || ready.push(conn)));
+        }
+        None => {
+            // A send fails only once the poller has exited; `conn` closes.
+            if shared.park_tx.send(conn).is_ok() {
+                shared.wake.wake();
+            }
         }
     }
 }
 
 enum Disposition {
-    /// Hand back to the poller (waiting for bytes or an inference).
+    /// Wait for the next event: bytes, an inference reply or a retry
+    /// deadline ([`park`]).
     Park,
     /// More parsed-but-unserved bytes remain; requeue for fairness.
     Requeue,
@@ -538,6 +697,7 @@ fn write_response(
     conn.stream.set_nonblocking(false)?;
     let result = conn.stream.write_all(payload.as_bytes());
     let _ = conn.stream.set_nonblocking(true);
+    conn.last_activity = Instant::now();
     result
 }
 
@@ -550,11 +710,15 @@ fn serve_conn(conn: &mut Conn, shared: &Shared) -> Disposition {
         let _ = write_response(conn, &resp, false, shared);
         return Disposition::Close;
     }
-    if let Some(result) = conn.ready_result.take() {
+    if let Some(pending) = conn.pending.as_mut() {
+        // Woken by the reply cell or an expired retry backoff.
+        let Some(result) = shared.gateway.poll(pending) else {
+            return Disposition::Park;
+        };
+        conn.pending = None;
         let keep = conn.keep_alive_after_reply;
-        let resp = render_infer_result(result);
         conn.served += 1;
-        if write_response(conn, &resp, keep, shared).is_err() || !keep {
+        if write_response(conn, &render_infer_result(result), keep, shared).is_err() || !keep {
             return Disposition::Close;
         }
     }
@@ -630,17 +794,10 @@ fn serve_conn(conn: &mut Conn, shared: &Shared) -> Disposition {
 /// Overflow lane: connections past the pooled budget still get health
 /// endpoints (one blocking `Connection: close` exchange each), so an
 /// overloaded gateway remains observable; `/infer` is refused with 503.
+/// Ends when the poller, which holds the only sender, exits.
 fn run_ops_lane(shared: &Shared, ops_rx: &Receiver<TcpStream>) {
-    loop {
-        match ops_rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(stream) => serve_ops_connection(stream, shared),
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.stop.load(Ordering::Relaxed) {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
+    while let Ok(stream) = ops_rx.recv() {
+        serve_ops_connection(stream, shared);
     }
 }
 
@@ -957,4 +1114,43 @@ fn read_one_request(stream: TcpStream) -> Result<(String, String, Vec<u8>), Resp
         }
     }
     Ok((method, path, body))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wakes_racing_the_poller_reset_are_never_lost() {
+        // A producer hands items over with a wake each while a poller-like
+        // loop waits, resets and drains, as `run_poller` does. A wake lost
+        // to the race with `reset` leaves an item unclaimed and the wait
+        // times out.
+        const ITEMS: u32 = 200_000;
+        let wake = Arc::new(Wake::new().expect("socket pair"));
+        let (tx, rx) = unbounded::<u32>();
+        let producer = {
+            let wake = wake.clone();
+            std::thread::spawn(move || {
+                for i in 0..ITEMS {
+                    tx.send(i).expect("consumer alive");
+                    wake.wake();
+                }
+            })
+        };
+        let mut claimed = 0;
+        while claimed < ITEMS {
+            let mut fds = [PollFd::readable(&wake.rx)];
+            let ready = sys::wait(&mut fds, Some(Duration::from_secs(5))).expect("poll");
+            assert_eq!(
+                ready, 1,
+                "wake lost with {claimed} of {ITEMS} items claimed"
+            );
+            wake.reset();
+            while rx.try_recv().is_some() {
+                claimed += 1;
+            }
+        }
+        producer.join().unwrap();
+    }
 }

@@ -44,11 +44,16 @@
 //! }
 //! ```
 
+#![deny(unsafe_code)]
+
 mod api;
 mod gateway;
 pub mod http;
 pub mod parser;
 mod predict;
+mod reply;
+#[allow(unsafe_code)]
+mod sys;
 mod worker;
 
 pub use api::{

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use optimus_core::scheduler::{expire, lru, ContainerView, Lifecycle, Start};
 use optimus_core::{execute_plan, plan_chunks, ModelRepository};
 use optimus_model::tensor::Tensor;
@@ -33,6 +33,7 @@ use parking_lot::Mutex;
 
 use crate::api::{GatewayConfig, InferenceResponse, ServeError, ServedStart};
 use crate::predict::PredictShared;
+use crate::reply::ReplySender;
 
 /// An inference request as delivered to a worker. Models are addressed by
 /// their interned [`ModelId`] — the gateway resolves the client-facing
@@ -47,7 +48,9 @@ pub(crate) struct InferItem {
     /// in-place transformation for this request aborts and the safeguard
     /// escalates to a cold start.
     pub fail_transform: bool,
-    pub reply: Sender<Result<InferenceResponse, ServeError>>,
+    /// Completed with the outcome; dropping it unsent tells the
+    /// requester this node died mid-request.
+    pub reply: ReplySender,
 }
 
 /// A fleet/fault event for a worker thread, delivered on the unbounded
@@ -810,7 +813,7 @@ fn serve_group(state: &mut WorkerState, model_id: ModelId, group: Vec<InferItem>
                 }
             }
             let t0 = Instant::now();
-            let output = infer::run(state.pool.graph(got.slot), item.input.clone())
+            let output = infer::run(state.pool.graph(got.slot), item.input)
                 .map_err(|e| ServeError::Inference(e.to_string()))?;
             let compute_seconds = t0.elapsed().as_secs_f64();
             span.add(Phase::Compute, compute_seconds);
@@ -831,8 +834,7 @@ fn serve_group(state: &mut WorkerState, model_id: ModelId, group: Vec<InferItem>
         if result.is_ok() {
             state.sink.record(&span.finish());
         }
-        // The client may have given up; a dead reply channel is fine.
-        let _ = item.reply.send(result);
+        item.reply.send(result);
     }
     state.containers_gauge.set(state.pool.len() as f64);
     if let Some(ws) = state.pool.store.as_mut() {

@@ -1,7 +1,8 @@
 //! Tests of the pooled keep-alive HTTP front end: pipelining over one
-//! persistent connection, fragmented writes, 431/413 limits, and 429
+//! persistent connection, fragmented writes, 431/413 limits, 429
 //! admission control with health endpoints that stay responsive under
-//! saturation.
+//! saturation, keep-alive idle close, prompt shutdown, and many
+//! back-to-back keep-alive exchanges.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -284,5 +285,118 @@ fn saturated_queues_answer_429_and_health_endpoints_stay_responsive() {
         metrics.contains("optimus_serve_rejected_total"),
         "{metrics}"
     );
+    server.shutdown();
+}
+
+#[test]
+fn idle_keep_alive_connection_is_closed_silently() {
+    let idle = Duration::from_millis(200);
+    let gw = gateway(ServingConfig::default());
+    let server = HttpServer::serve_with(
+        gw,
+        0,
+        HttpConfig {
+            keep_alive_idle: idle,
+            ..HttpConfig::default()
+        },
+    )
+    .expect("binds");
+
+    let stream = TcpStream::connect(server.addr()).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().expect("clones");
+    writer
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("writes");
+    let mut reader = BufReader::new(stream);
+    let (status, headers, _) = read_response(&mut reader);
+    assert!(status.contains("200"), "{status}");
+    assert_eq!(header(&headers, "connection"), Some("keep-alive"));
+    let answered = Instant::now();
+
+    // The client sends nothing more. No periodic scan exists, so only
+    // the poller's deadline-driven timeout can notice the idle window.
+    let mut rest = Vec::new();
+    reader
+        .read_to_end(&mut rest)
+        .expect("the server closes the connection before the 10 s read timeout");
+    let waited = answered.elapsed();
+    assert!(
+        rest.is_empty(),
+        "an idle close writes nothing: {:?}",
+        String::from_utf8_lossy(&rest)
+    );
+    assert!(
+        waited >= idle / 2,
+        "closed after {waited:?}, before the {idle:?} idle window"
+    );
+    assert!(waited < Duration::from_secs(5), "closed after {waited:?}");
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_returns_promptly_with_a_parked_connection() {
+    let gw = gateway(ServingConfig::default());
+    let server = HttpServer::serve(gw, 0).expect("binds");
+    let stream = TcpStream::connect(server.addr()).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().expect("clones");
+    writer
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("writes");
+    let mut reader = BufReader::new(stream);
+    let (status, _, _) = read_response(&mut reader);
+    assert!(status.contains("200"), "{status}");
+
+    // The parked connection's only deadline is the 30 s default
+    // keep-alive idle window: shutdown must wake the poller instead.
+    let t0 = Instant::now();
+    server.shutdown();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+    let mut rest = Vec::new();
+    reader
+        .read_to_end(&mut rest)
+        .expect("shutdown closes parked connections");
+    assert!(rest.is_empty());
+}
+
+#[test]
+fn back_to_back_keep_alive_exchanges_never_stall() {
+    // Every reply hands its connection back to the poller, so a lost
+    // wake-up leaves a request unread until the client's 10 s read
+    // timeout fails the exchange.
+    let gw = gateway(ServingConfig::default());
+    let server = HttpServer::serve(gw, 0).expect("binds");
+    let addr = server.addr();
+    let clients: Vec<_> = (0..4)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let stream = TcpStream::connect(addr).expect("connects");
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(10)))
+                    .unwrap();
+                let mut writer = stream.try_clone().expect("clones");
+                let mut reader = BufReader::new(stream);
+                for i in 0..300 {
+                    let raw = if i % 2 == 0 {
+                        post_infer(true)
+                    } else {
+                        "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n".to_string()
+                    };
+                    writer.write_all(raw.as_bytes()).expect("writes");
+                    let (status, _, _) = read_response(&mut reader);
+                    assert!(status.contains("200"), "exchange {i}: {status}");
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("every exchange answered");
+    }
     server.shutdown();
 }

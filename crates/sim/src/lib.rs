@@ -25,6 +25,8 @@
 //! request arrivals and completions, and completions are computable at
 //! dispatch time (run-to-completion, no preemption).
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod metrics;
 mod platform;

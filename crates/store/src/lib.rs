@@ -30,6 +30,8 @@
 //! specs, weight sets and whole model graphs; [`ChunkSet`] is the
 //! catalog-level dedup accountant used by the `exp_store` experiment.
 
+#![forbid(unsafe_code)]
+
 mod chunk;
 mod node;
 mod tier;

@@ -62,6 +62,8 @@
 //! assert!(text.contains("optimus_requests_total{kind=\"warm\"} 1"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod registry;
 pub mod sink;
 pub mod span;

@@ -19,6 +19,8 @@
 //!
 //! All generators are seeded and deterministic.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod azure;
 mod diurnal;

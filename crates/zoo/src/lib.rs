@@ -17,6 +17,8 @@
 //! structurally identical graph with identical weight ids, which makes
 //! every experiment in this repository reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod bert;
 pub mod catalog;
 pub mod densenet;

@@ -29,6 +29,8 @@
 //! Model names are catalog names (`optimus-cli list`), e.g. `vgg16`,
 //! `resnet50`, `bert-base-uncased`, `mobilenet_v1-a0.50-v0`.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::sync::Arc;
 

@@ -47,6 +47,8 @@
 //! assert!(in_container.structurally_equal(&dst));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use optimus_balance as balance;
 pub use optimus_core as core;
 pub use optimus_model as model;
