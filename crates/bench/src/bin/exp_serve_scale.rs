@@ -193,7 +193,7 @@ fn infer_request(model: &str, keep_alive: bool) -> Vec<u8> {
 /// Drive one trajectory point: `conns` client threads, each sending its
 /// share of the offered rate on a fixed open-loop schedule. Requests
 /// alternate between the two registered models so both serving nodes see
-/// traffic and the batching window has same-model runs to group.
+/// traffic and queued same-model runs can be served as one group.
 fn run_point(addr: SocketAddr, mode: Mode, point: Point, duration: f64) -> PointResult {
     let per_conn = point.offered / point.conns as f64;
     let interval = Duration::from_secs_f64(1.0 / per_conn);
@@ -395,7 +395,6 @@ fn main() {
     let serving = ServingConfig {
         queue_depth: 4,
         max_batch: 8,
-        max_batch_wait_us: 100,
     };
 
     let mut results: Vec<PointResult> = Vec::new();
@@ -621,7 +620,6 @@ fn main() {
             "serving": {
                 "queue_depth": serving.queue_depth,
                 "max_batch": serving.max_batch,
-                "max_batch_wait_us": serving.max_batch_wait_us,
             },
             "trajectory": results.iter().map(point_json).collect::<Vec<_>>(),
             "comparison_at_overload": {

@@ -32,7 +32,7 @@ pub fn run(graph: &ModelGraph, input: Tensor) -> Result<Tensor, ModelError> {
     if inputs.len() != 1 {
         return Err(ModelError::MissingInput);
     }
-    let outputs = run_multi(graph, &[(inputs[0], input)])?;
+    let outputs = run_multi(graph, [(inputs[0], input)])?;
     let sinks = graph.outputs();
     let sink = *sinks.first().ok_or(ModelError::MissingInput)?;
     outputs
@@ -43,7 +43,7 @@ pub fn run(graph: &ModelGraph, input: Tensor) -> Result<Tensor, ModelError> {
 }
 
 /// Execute the graph with explicit per-input tensors, returning every sink
-/// op's output.
+/// op's output. The tensors are moved into the evaluation, not copied.
 ///
 /// # Errors
 ///
@@ -51,14 +51,11 @@ pub fn run(graph: &ModelGraph, input: Tensor) -> Result<Tensor, ModelError> {
 /// the engine does not implement.
 pub fn run_multi(
     graph: &ModelGraph,
-    inputs: &[(OpId, Tensor)],
+    inputs: impl IntoIterator<Item = (OpId, Tensor)>,
 ) -> Result<Vec<(OpId, Tensor)>, ModelError> {
     graph.validate()?;
     let order = graph.topo_order()?;
-    let mut values: HashMap<OpId, Tensor> = HashMap::new();
-    for (id, t) in inputs {
-        values.insert(*id, t.clone());
-    }
+    let mut values: HashMap<OpId, Tensor> = inputs.into_iter().collect();
     for id in order {
         let op = graph.op(id).expect("topo ids exist");
         if op.kind() == OpKind::Input {

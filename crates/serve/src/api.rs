@@ -134,25 +134,24 @@ impl std::error::Error for ServeError {}
 /// are already waiting, further submissions are rejected with
 /// [`ServeError::Overloaded`] (HTTP `429`) instead of growing an
 /// unbounded backlog — queueing delay stays bounded and overload is
-/// visible to clients immediately. Workers drain their queue in batches:
-/// after picking up a request they wait up to `max_batch_wait_us` for
-/// more, then serve all requests for the *same model* as one group —
-/// container acquisition, donor scan and store accounting are paid once
-/// per group, while each request keeps its own forward pass so responses
-/// are byte-identical whether or not they were batched. Requests for
-/// different models arriving in the same window are served as separate
-/// groups, never co-batched.
+/// visible to clients immediately. Workers are work-conserving: after
+/// picking up a request they take whatever else is already queued (up to
+/// `max_batch`) without waiting for more, and serve it at once. Every
+/// waiting request therefore sits in the bounded queue, so `queue_depth`
+/// bounds all of them. Requests for the *same model* are served as one
+/// group in arrival order: each acquires its container — the first may
+/// pay a cold start or transformation, the rest warm-hit the container it
+/// produced — and runs its own forward pass, so responses are
+/// byte-identical whether or not they were grouped. Requests for
+/// different models queued together are served as separate groups,
+/// never co-batched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServingConfig {
     /// Bounded per-node queue depth; `try_send` overflow is a `429`.
     pub queue_depth: usize,
-    /// Largest batch a worker collects before serving (1 disables
-    /// batching).
+    /// Most requests a worker takes off its queue before it serves them
+    /// and checks control events again (1 disables batching).
     pub max_batch: usize,
-    /// How long a worker waits for the batch to fill after the first
-    /// request arrives, in microseconds (0: drain only what is already
-    /// queued).
-    pub max_batch_wait_us: u64,
 }
 
 impl Default for ServingConfig {
@@ -160,7 +159,6 @@ impl Default for ServingConfig {
         ServingConfig {
             queue_depth: 256,
             max_batch: 8,
-            max_batch_wait_us: 200,
         }
     }
 }

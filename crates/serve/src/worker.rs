@@ -2,15 +2,16 @@
 //!
 //! Work arrives on two channels. The *inference* channel is bounded
 //! ([`crate::ServingConfig::queue_depth`]) — the gateway's admission
-//! control rejects with a `429` instead of growing it — and is drained in
-//! per-model batches: after the first request the worker waits up to
-//! `max_batch_wait_us` for the batch to fill, then serves each model's
-//! group: its first request pays the container acquisition (the shared
-//! lifecycle policy of [`ContainerPool`]: warm match, donor choice,
-//! transformation or scratch load, store accounting) and the rest
-//! warm-hit the container it produced. Each request still runs its own
-//! forward pass, so responses are
-//! byte-identical whether or not they were batched. The *control*
+//! control rejects with a `429` instead of growing it — and is drained
+//! work-conservingly: the worker blocks for one request, takes whatever
+//! else is already queued (up to `max_batch`) without waiting for more,
+//! and serves it at once, grouped by model. Every request calls
+//! [`ContainerPool::acquire`] (the shared lifecycle policy: warm match,
+//! donor choice, transformation or scratch load, store accounting) and
+//! runs its own forward pass, so responses are byte-identical whether or
+//! not they were grouped. Requests that arrive while a group's first
+//! request cold-starts or transforms queue behind it and, as the next
+//! batch, warm-hit the container it produced. The *control*
 //! channel (crashes, kills, warm transfers) is unbounded and checked
 //! before every batch so fleet events are never dropped or stuck behind
 //! queued inference work.
@@ -707,7 +708,6 @@ pub(crate) fn run_worker(
         placement,
     };
     let max_batch = config.serving.max_batch.max(1);
-    let window = Duration::from_micros(config.serving.max_batch_wait_us);
     loop {
         // Control events do not wait behind queued inference work.
         while let Some(ev) = ctrl_rx.try_recv() {
@@ -729,25 +729,9 @@ pub(crate) fn run_worker(
             }
             Err(RecvTimeoutError::Disconnected) => break,
         };
+        // Work-conserving: take what is already queued, never wait for more.
         let mut batch = vec![first];
-        if max_batch > 1 {
-            let deadline = Instant::now() + window;
-            while batch.len() < max_batch {
-                // Drain what is already queued, then wait out the window.
-                if let Some(item) = infer_rx.try_recv() {
-                    batch.push(item);
-                    continue;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match infer_rx.recv_timeout(deadline - now) {
-                    Ok(item) => batch.push(item),
-                    Err(_) => break,
-                }
-            }
-        }
+        batch.extend(std::iter::from_fn(|| infer_rx.try_recv()).take(max_batch - 1));
         state.depth_gauge.add(-(batch.len() as f64));
         // A fault event drawn alongside a request in this batch must land
         // before the batch is served (single-channel FIFO equivalence).
@@ -755,7 +739,7 @@ pub(crate) fn run_worker(
             state.handle_control(ev);
         }
         // Partition into per-model groups, preserving arrival order;
-        // different models arriving in one window are never co-batched.
+        // different models queued together are never co-batched.
         let mut groups: Vec<(ModelId, Vec<InferItem>)> = Vec::new();
         for item in batch {
             match groups.iter_mut().find(|(id, _)| *id == item.model_id) {
@@ -778,10 +762,11 @@ impl WorkerState {
     }
 }
 
-/// Serve one same-model group: the first request pays (and reports) the
-/// container acquisition — cold, transformed or warm — and the rest are
-/// warm hits on the container it produced, exactly as if they had arrived
-/// sequentially. Each request runs its own forward pass.
+/// Serve one same-model group in arrival order, exactly as if its
+/// requests had arrived sequentially: each acquires a container — the
+/// first may pay a cold start or transformation, the rest warm-hit what
+/// it produced — and runs its own forward pass. The group shares one
+/// name lookup.
 fn serve_group(state: &mut WorkerState, model_id: ModelId, group: Vec<InferItem>) {
     let batch_size = group.len();
     state.batch_hist.observe(batch_size as f64);

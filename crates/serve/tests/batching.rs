@@ -1,13 +1,16 @@
-//! Batching edge cases for the worker-side per-model request batching:
-//! window expiry with a single request, mixed-model arrivals never
-//! co-batched, and byte-identical responses whether batched or not.
+//! Edge cases for the worker's work-conserving per-model batching: a
+//! lone request is served as a batch of one, requests queued behind a
+//! busy worker are served as one group, mixed-model arrivals are never
+//! co-batched, and responses are byte-identical whether batched or not.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use optimus_model::tensor::Tensor;
 use optimus_model::{Activation, GraphBuilder, ModelGraph};
 use optimus_serve::{
-    Gateway, GatewayConfig, InferenceResponse, InferenceResult, PendingInference, ServingConfig,
+    Gateway, GatewayConfig, InferenceResponse, InferenceResult, MetricsRegistry, PendingInference,
+    ServingConfig,
 };
 
 fn tiny(name: &str, out_ch: usize) -> ModelGraph {
@@ -49,38 +52,39 @@ fn drain_all(gw: &Gateway, mut pending: Vec<PendingInference>) -> Vec<InferenceR
     done.into_iter().map(|r| r.expect("checked")).collect()
 }
 
+/// Two 3×3 convolutions over a 64×64 input: a forward pass far longer
+/// than submitting a burst of tiny requests, so the burst queues behind
+/// it.
+fn slow(name: &str) -> ModelGraph {
+    let mut b = GraphBuilder::new(name);
+    let x = b.input([1, 3, 64, 64]);
+    let x = b.conv2d_after(x, 3, 32, (3, 3), (1, 1), 1);
+    let x = b.activation_after(x, Activation::Relu);
+    let _ = b.conv2d_after(x, 32, 32, (3, 3), (1, 1), 1);
+    b.finish().unwrap()
+}
+
 #[test]
-fn single_request_is_served_when_the_batch_window_expires() {
-    // A generous window with no follow-up traffic: the worker must serve
-    // the lone request at window expiry as a batch of one, not wait for
-    // the batch to fill.
-    let gw = Gateway::builder(config(ServingConfig {
-        queue_depth: 64,
-        max_batch: 8,
-        max_batch_wait_us: 5_000,
-    }))
-    .register(tiny("m", 4))
-    .spawn();
-    let start = Instant::now();
+fn lone_request_is_served_as_a_batch_of_one() {
+    // Default serving config, no other traffic: the worker serves the
+    // request it picked up without waiting for followers.
+    let gw = Gateway::builder(config(ServingConfig::default()))
+        .register(tiny("m", 4))
+        .spawn();
     let r = gw.infer("m", Tensor::zeros([1, 3, 8, 8])).expect("serves");
     assert_eq!(r.batch_size, 1, "a lone request is a batch of one");
-    assert!(
-        start.elapsed() < Duration::from_secs(5),
-        "window expiry must not stall the request"
-    );
     gw.shutdown();
 }
 
 #[test]
 fn mixed_model_arrivals_are_never_co_batched() {
-    // Interleaved arrivals for two models on one node inside one batch
-    // window: groups are per-model, so no response may report a batch
+    // Interleaved arrivals for two models on one node, queued together:
+    // groups are per-model, so no response may report a batch
     // larger than its own model's request count, and every output must
     // have its own model's shape.
     let gw = Gateway::builder(config(ServingConfig {
         queue_depth: 64,
         max_batch: 16,
-        max_batch_wait_us: 200_000,
     }))
     .register(tiny("a", 4))
     .register(tiny("b", 8))
@@ -113,12 +117,14 @@ fn mixed_model_arrivals_are_never_co_batched() {
 
 #[test]
 fn batched_and_unbatched_responses_are_byte_identical() {
+    let metrics = Arc::new(MetricsRegistry::new());
     let gw = Gateway::builder(config(ServingConfig {
         queue_depth: 64,
         max_batch: 8,
-        max_batch_wait_us: 200_000,
     }))
+    .metrics(metrics.clone())
     .register(tiny("m", 4))
+    .register(slow("slow"))
     .spawn();
     let input = || {
         let numel = 3 * 8 * 8;
@@ -132,8 +138,20 @@ fn batched_and_unbatched_responses_are_byte_identical() {
     assert_eq!(solo.batch_size, 1);
     let solo_bits: Vec<u32> = solo.output.data().iter().map(|v| v.to_bits()).collect();
 
-    // Burst: submitted back-to-back so the worker's batch window groups
-    // them; each runs its own forward pass.
+    // Occupy the worker: once the queue-depth gauge reads 0 it has taken
+    // the slow request off its queue and is serving it.
+    let busy = gw
+        .submit("slow", Tensor::zeros([1, 3, 64, 64]))
+        .expect("admits");
+    let depth = metrics.gauge("optimus_serve_queue_depth", &[("node", "0")]);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while depth.get() != 0.0 {
+        assert!(Instant::now() < deadline, "worker never took the request");
+        std::thread::yield_now();
+    }
+
+    // Burst: queued behind the busy worker, so it takes them as one
+    // group when the slow pass ends; each runs its own forward pass.
     let burst: Vec<PendingInference> = (0..6)
         .map(|_| gw.submit("m", input()).expect("admits"))
         .collect();
@@ -142,8 +160,9 @@ fn batched_and_unbatched_responses_are_byte_identical() {
         .map(|r| r.expect("burst requests succeed"))
         .collect();
     assert!(
-        results.iter().any(|r| r.batch_size >= 2),
-        "burst of 6 within a 200ms window never batched: {:?}",
+        results.iter().all(|r| r.batch_size == results.len()),
+        "burst of {} queued behind a busy worker was not served as one group: {:?}",
+        results.len(),
         results.iter().map(|r| r.batch_size).collect::<Vec<_>>()
     );
     for (i, r) in results.iter().enumerate() {
@@ -154,5 +173,7 @@ fn batched_and_unbatched_responses_are_byte_identical() {
             r.batch_size
         );
     }
+    let slow_result = drain_all(&gw, vec![busy]).pop().expect("one result");
+    assert_eq!(slow_result.expect("slow request serves").batch_size, 1);
     gw.shutdown();
 }

@@ -223,7 +223,6 @@ fn saturated_queues_answer_429_and_health_endpoints_stay_responsive() {
     let gw = gateway(ServingConfig {
         queue_depth: 2,
         max_batch: 1,
-        max_batch_wait_us: 0,
     });
     let server = HttpServer::serve(gw, 0).expect("binds");
     let addr = server.addr();

@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== perfbench tests (separate workspace, path deps on crates/*) =="
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== sweep byte-identity (sequential vs 2/8 threads) =="
 cargo test -q -p optimus-bench --test sweep_identity
 
